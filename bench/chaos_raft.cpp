@@ -10,11 +10,14 @@
  *
  * Env knobs (see README "Chaos tier"):
  *   NBOS_CHAOS_SEED=<u64>    chaos plan seed (0 = derive from engine seed)
- *   NBOS_CHAOS_RATE=<f>      multiply every fault-class rate
+ *   NBOS_CHAOS_RATE=<f>      multiply every fault-class rate (>= 0)
  *   NBOS_CHAOS_RECORD=<path> run only the canonical chaos row and save its
  *                            injected schedule to <path>
  *   NBOS_CHAOS_REPLAY=<path> run only the canonical chaos row, re-executing
  *                            the schedule at <path> byte-identically
+ *
+ * A malformed seed or rate prints a `[chaos]` error naming the variable
+ * and exits 2.
  *
  * RECORD and REPLAY print identical tables (mode details go on `# TIMING`
  * lines, which the bench gate and the CI determinism diff both strip), so
@@ -22,7 +25,9 @@
  */
 #include <chrono>
 #include <cinttypes>
+#include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -46,7 +51,15 @@ main()
 {
     using namespace nbos;
     const auto wall_start = std::chrono::steady_clock::now();
-    const chaos::EnvKnobs knobs = chaos::read_env_knobs();
+    // A malformed NBOS_CHAOS_SEED/RATE exits 2 with the variable named,
+    // as a malformed NBOS_BENCH_* knob does.
+    chaos::EnvKnobs knobs;
+    try {
+        knobs = chaos::read_env_knobs();
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "[chaos] %s\n", error.what());
+        return 2;
+    }
     const bool record_mode = !knobs.record_path.empty();
     const bool replay_mode = !knobs.replay_path.empty();
 

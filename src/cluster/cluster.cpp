@@ -128,13 +128,17 @@ PrewarmPool::PrewarmPool(std::int32_t target_per_server)
 void
 PrewarmPool::register_server(ServerId id)
 {
-    pools_.emplace(id, State{});
+    const auto [it, inserted] = pools_.emplace(id, State{});
+    if (inserted) {
+        update_below_target(id, it->second);
+    }
 }
 
 void
 PrewarmPool::unregister_server(ServerId id)
 {
     pools_.erase(id);
+    below_target_.erase(id);
 }
 
 std::int32_t
@@ -161,6 +165,7 @@ PrewarmPool::acquire(ServerId server)
     }
     --it->second.available;
     ++total_acquired_;
+    update_below_target(server, it->second);
     return true;
 }
 
@@ -170,6 +175,7 @@ PrewarmPool::begin_refill(ServerId server)
     const auto it = pools_.find(server);
     if (it != pools_.end()) {
         ++it->second.pending;
+        update_below_target(server, it->second);
     }
 }
 
@@ -182,6 +188,7 @@ PrewarmPool::complete_refill(ServerId server)
             --it->second.pending;
         }
         ++it->second.available;
+        update_below_target(server, it->second);
     }
 }
 
@@ -191,6 +198,7 @@ PrewarmPool::release(ServerId server)
     const auto it = pools_.find(server);
     if (it != pools_.end()) {
         ++it->second.available;
+        update_below_target(server, it->second);
     }
 }
 
@@ -198,12 +206,25 @@ std::int32_t
 PrewarmPool::deficit(ServerId server) const
 {
     const auto it = pools_.find(server);
-    if (it == pools_.end()) {
-        return 0;
-    }
+    return it == pools_.end() ? 0 : deficit_of(it->second);
+}
+
+std::int32_t
+PrewarmPool::deficit_of(const State& state) const
+{
     const std::int32_t shortfall =
-        target_per_server_ - it->second.available - it->second.pending;
+        target_per_server_ - state.available - state.pending;
     return shortfall > 0 ? shortfall : 0;
+}
+
+void
+PrewarmPool::update_below_target(ServerId id, const State& state)
+{
+    if (deficit_of(state) > 0) {
+        below_target_.insert(id);
+    } else {
+        below_target_.erase(id);
+    }
 }
 
 }  // namespace nbos::cluster

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -145,6 +146,11 @@ class Cluster
  * Bookkeeping for the pre-warmed container pool (§3.2.3). The Container
  * Prewarmer component in the Global Scheduler refills it; this class only
  * tracks availability per server.
+ *
+ * Besides the per-server state the pool keeps the id-ordered set of
+ * servers whose deficit is above zero, updated by every state change, so
+ * a refill pass visits only the servers that need one instead of the
+ * whole fleet.
  */
 class PrewarmPool
 {
@@ -179,6 +185,11 @@ class PrewarmPool
     /** How many refills @p server needs to reach the target. */
     std::int32_t deficit(ServerId server) const;
 
+    /** The registered servers with deficit() > 0, in id order. Refilling
+     *  a server to the target removes it, so a refill pass should take
+     *  ids off the front rather than hold an iterator. */
+    const std::set<ServerId>& below_target() const { return below_target_; }
+
     std::int32_t target_per_server() const { return target_per_server_; }
 
     /** Pool-wide counters. */
@@ -192,8 +203,15 @@ class PrewarmPool
         std::int32_t pending = 0;
     };
 
+    /** Shortfall of @p state against the target, floored at zero. */
+    std::int32_t deficit_of(const State& state) const;
+
+    /** Re-file @p id in below_target_ after its @p state changed. */
+    void update_below_target(ServerId id, const State& state);
+
     std::int32_t target_per_server_;
     std::map<ServerId, State> pools_;
+    std::set<ServerId> below_target_;
     std::uint64_t total_acquired_ = 0;
     std::uint64_t total_misses_ = 0;
 };

@@ -529,8 +529,10 @@ FastEngineShard::tick()
         }
     }
     // Instant pre-warm refills (their cold start is amortized by the
-    // tick interval in fast mode).
-    for (const auto& [id, server] : cluster_.servers()) {
+    // tick interval in fast mode). A refilled server leaves the
+    // below-target set, so take servers off its front.
+    while (!prewarm_.below_target().empty()) {
+        const cluster::ServerId id = *prewarm_.below_target().begin();
         while (prewarm_.deficit(id) > 0) {
             prewarm_.begin_refill(id);
             prewarm_.complete_refill(id);

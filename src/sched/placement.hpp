@@ -71,7 +71,18 @@ class LeastLoadedPolicy : public PlacementPolicy
     double watermark() const { return sr_watermark_; }
 
   private:
+    struct Candidate
+    {
+        cluster::ServerId id;
+        double new_sr;  ///< the server's SR with the new replica
+        std::int32_t committed;
+        std::int32_t subscribed;
+        bool over_soft_limit;
+    };
+
     double sr_watermark_;
+    /** pick()'s per-call candidate buffer, kept to reuse its capacity. */
+    std::vector<Candidate> candidates_;
 };
 
 /**

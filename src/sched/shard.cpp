@@ -1466,16 +1466,18 @@ SchedulerShard::run_autoscaler()
 void
 SchedulerShard::run_prewarmer()
 {
-    for (const auto& [id, server] : cluster_.servers()) {
+    // One cold-start sample per refill, in id order. Covering a server's
+    // deficit takes it off the below-target set, so take servers off its
+    // front.
+    while (!prewarm_.below_target().empty()) {
+        const cluster::ServerId id = *prewarm_.below_target().begin();
         const std::int32_t deficit = prewarm_.deficit(id);
         for (std::int32_t i = 0; i < deficit; ++i) {
             prewarm_.begin_refill(id);
             const sim::Time cold = sample(config_.timings.cold_start_min,
                                           config_.timings.cold_start_max);
-            const cluster::ServerId server_id = id;
-            simulation_.schedule_after(cold, [this, server_id] {
-                prewarm_.complete_refill(server_id);
-            });
+            simulation_.schedule_after(
+                cold, [this, id] { prewarm_.complete_refill(id); });
         }
     }
     simulation_.schedule_after(config_.prewarm_check_interval,

@@ -8,8 +8,8 @@
  * leader and converges after every heal" under a fuzzed fault schedule,
  * platform-level invariants ("no task lost across a partition", "oracle <=
  * every policy's GPU-hours"), bit-identical same-seed and record/replay
- * runs, and delta-debugging shrink on both synthetic and run-backed
- * failure predicates.
+ * runs, delta-debugging shrink on both synthetic and run-backed
+ * failure predicates, and validation of the NBOS_CHAOS_* knobs.
  */
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 
 #include "chaos/config.hpp"
 #include "chaos/controller.hpp"
+#include "chaos/env.hpp"
 #include "chaos/fault_plan.hpp"
 #include "chaos/generator.hpp"
 #include "chaos/shrink.hpp"
@@ -126,6 +127,78 @@ TEST(ChaosPlanTest, MalformedInputThrows)
     // A shard section is a schedule-file construct, not a plan construct.
     EXPECT_THROW(parse_plan(header + "shard 0\n"), std::runtime_error);
     EXPECT_NO_THROW(parse_schedule(header + "shard 0\nseed 7\n"));
+}
+
+// ---------------------------------------------------------------------------
+// NBOS_CHAOS_* environment knobs
+
+/** The message parse_env_knobs throws for @p env (empty if none). */
+std::string
+env_error(const ChaosEnv& env)
+{
+    try {
+        (void)parse_env_knobs(env);
+    } catch (const std::invalid_argument& error) {
+        return error.what();
+    }
+    return {};
+}
+
+TEST(ChaosEnvTest, UnsetAndEmptyKeepDefaults)
+{
+    const EnvKnobs unset = parse_env_knobs(ChaosEnv{});
+    EXPECT_EQ(unset.seed, 0u);
+    EXPECT_EQ(unset.rate_scale, 1.0);
+    EXPECT_TRUE(unset.record_path.empty());
+    EXPECT_TRUE(unset.replay_path.empty());
+    ChaosEnv empty;
+    empty.seed = "";
+    empty.rate = "";
+    const EnvKnobs knobs = parse_env_knobs(empty);
+    EXPECT_EQ(knobs.seed, 0u);
+    EXPECT_EQ(knobs.rate_scale, 1.0);
+}
+
+TEST(ChaosEnvTest, ParsesEveryKnob)
+{
+    ChaosEnv env;
+    env.seed = "18446744073709551615";
+    env.rate = "2.5";
+    env.record = "/tmp/a.sched";
+    env.replay = "/tmp/b.sched";
+    const EnvKnobs knobs = parse_env_knobs(env);
+    EXPECT_EQ(knobs.seed, 18446744073709551615ULL);
+    EXPECT_EQ(knobs.rate_scale, 2.5);
+    EXPECT_EQ(knobs.record_path, "/tmp/a.sched");
+    EXPECT_EQ(knobs.replay_path, "/tmp/b.sched");
+    env.rate = "0";
+    EXPECT_EQ(parse_env_knobs(env).rate_scale, 0.0);
+}
+
+TEST(ChaosEnvTest, MalformedSeedIsRejectedWithTheVariableNamed)
+{
+    for (const char* bad : {"abc", "12abc", "7 ", " 7", "-1", "+3", "1.5",
+                            "18446744073709551616", "99999999999999999999"}) {
+        ChaosEnv env;
+        env.seed = bad;
+        const std::string error = env_error(env);
+        EXPECT_NE(error.find("NBOS_CHAOS_SEED"), std::string::npos) << bad;
+        EXPECT_NE(error.find(std::string("'") + bad + "'"), std::string::npos)
+            << error;
+    }
+}
+
+TEST(ChaosEnvTest, MalformedOrNegativeRateIsRejectedWithTheVariableNamed)
+{
+    for (const char* bad : {"fast", "2x", "1.5.", "-0.5", "-1", "1e999",
+                            "-1e999", "inf", "nan", " "}) {
+        ChaosEnv env;
+        env.rate = bad;
+        const std::string error = env_error(env);
+        EXPECT_NE(error.find("NBOS_CHAOS_RATE"), std::string::npos) << bad;
+        EXPECT_NE(error.find(std::string("'") + bad + "'"), std::string::npos)
+            << error;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
  * Property-based tier (`ctest -L props`): invariants of the metrics
  * accumulators over seeded random inputs — percentile monotonicity and
  * permutation invariance for metrics::Percentiles, fold-order robustness
- * and CI shrinkage for metrics::RunStats. Inputs come from the seeded
+ * and CI shrinkage for metrics::RunStats — plus the placement top-k pick
+ * against a full-sort reference and the pre-warm pool's below-target set
+ * against a brute-force scan. Inputs come from the seeded
  * generators in tests/harness.hpp, so every counterexample is
  * reproducible from the stream index in the failure message.
  */
@@ -18,9 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "harness.hpp"
 #include "metrics/percentiles.hpp"
 #include "metrics/stats.hpp"
+#include "sched/placement.hpp"
 #include "sched/sharded_scheduler.hpp"
 #include "workload/profiles.hpp"
 
@@ -666,6 +670,246 @@ TEST(WorkloadProfileProperty, DiurnalArrivalsTrackModulationCurve)
         counts[22] + counts[23] + counts[0] + counts[1];
     EXPECT_GE(peak, 3.0 * trough)
         << "mid-day window must dominate the midnight window";
+}
+
+/**
+ * Reference least-loaded pick: the cluster-wide totals from the Cluster
+ * loops, a full sort of every candidate, then the first @p count. The
+ * production pick must choose the same servers in the same order.
+ */
+std::vector<cluster::ServerId>
+reference_pick(const cluster::Cluster& cluster,
+               const cluster::ResourceSpec& spec, std::size_t count,
+               std::int32_t replicas, double watermark)
+{
+    const std::int32_t total_gpus = cluster.total_gpus();
+    double soft_limit = 1.0;
+    if (total_gpus > 0 && replicas > 0) {
+        soft_limit = std::max(
+            soft_limit,
+            static_cast<double>(cluster.total_subscribed_gpus() +
+                                spec.gpus) /
+                (static_cast<double>(total_gpus) *
+                 static_cast<double>(replicas)));
+    }
+    struct Candidate
+    {
+        cluster::ServerId id;
+        bool over_soft_limit;
+        std::int32_t committed;
+        std::int32_t subscribed;
+    };
+    std::vector<Candidate> candidates;
+    for (const auto& [id, server] : cluster.servers()) {
+        if (server->draining() || !spec.fits_within(server->capacity())) {
+            continue;
+        }
+        const double new_sr =
+            static_cast<double>(server->subscribed_gpus() + spec.gpus) /
+            (static_cast<double>(server->capacity().gpus) *
+             static_cast<double>(replicas));
+        if (new_sr > watermark + 1e-9) {
+            continue;
+        }
+        candidates.push_back(Candidate{id, new_sr > soft_limit + 1e-9,
+                                       server->committed_gpus(),
+                                       server->subscribed_gpus()});
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate& a, const Candidate& b) {
+                  if (a.over_soft_limit != b.over_soft_limit) {
+                      return !a.over_soft_limit;
+                  }
+                  if (a.committed != b.committed) {
+                      return a.committed < b.committed;
+                  }
+                  if (a.subscribed != b.subscribed) {
+                      return a.subscribed < b.subscribed;
+                  }
+                  return a.id < b.id;
+              });
+    std::vector<cluster::ServerId> chosen;
+    for (std::size_t i = 0; i < candidates.size() && i < count; ++i) {
+        chosen.push_back(candidates[i].id);
+    }
+    return chosen;
+}
+
+/** A server shape with @p gpus GPUs (CPU and memory scaled with them). */
+cluster::ResourceSpec
+server_shape(std::int32_t gpus)
+{
+    return cluster::ResourceSpec{8000 * std::max(gpus, 1),
+                                 61LL * 1024 * std::max(gpus, 1), gpus,
+                                 16.0 * gpus};
+}
+
+/** A random fleet: mixed shapes, gapped ids (some servers removed),
+ *  draining servers, subscriptions spread up to and past the watermark
+ *  boundary (S + g = W * G * R hits it exactly) and commitments with
+ *  many ties. */
+cluster::Cluster
+random_fleet(sim::Rng& rng, double watermark, std::int32_t replicas,
+             std::int32_t request_gpus)
+{
+    cluster::Cluster cluster;
+    const std::int64_t n = rng.uniform_int(0, 40);
+    for (std::int64_t i = 0; i < n; ++i) {
+        static constexpr std::array<std::int32_t, 4> kGpus{8, 4, 2, 1};
+        const std::int32_t gpus =
+            kGpus[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+        cluster.add_server(server_shape(gpus));
+    }
+    for (const cluster::ServerId id : cluster.server_ids()) {
+        if (rng.bernoulli(0.1)) {
+            cluster.remove_server(id);
+        }
+    }
+    for (const auto& [id, server] : cluster.servers()) {
+        const std::int32_t gpus = server->capacity().gpus;
+        // The exact watermark boundary for this server and request size.
+        const auto boundary = static_cast<std::int64_t>(
+            watermark * gpus * replicas) - request_gpus;
+        std::int64_t subscribed = 0;
+        if (rng.bernoulli(0.3)) {
+            subscribed = boundary + rng.uniform_int(-1, 1);
+        } else {
+            subscribed = rng.uniform_int(0, boundary + 2);
+        }
+        if (subscribed > 0) {
+            cluster::ResourceSpec sub{0, 0,
+                                      static_cast<std::int32_t>(subscribed),
+                                      0.0};
+            server->subscribe(sub);
+        }
+        const std::int64_t committed = rng.uniform_int(0, gpus);
+        if (committed > 0) {
+            server->commit(cluster::ResourceSpec{
+                0, 0, static_cast<std::int32_t>(committed), 0.0});
+        }
+        server->set_draining(rng.bernoulli(0.15));
+    }
+    return cluster;
+}
+
+TEST(PlacementProperty, TopKPickMatchesFullSortReference)
+{
+    test::check_property(64, [](sim::Rng& rng, std::size_t) {
+        static constexpr std::array<double, 3> kWatermarks{1.0, 1.5, 3.0};
+        const double watermark =
+            kWatermarks[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+        const auto replicas = static_cast<std::int32_t>(rng.uniform_int(1, 3));
+        static constexpr std::array<std::int32_t, 5> kRequest{0, 1, 2, 4, 8};
+        const std::int32_t request_gpus =
+            kRequest[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+        const cluster::Cluster cluster =
+            random_fleet(rng, watermark, replicas, request_gpus);
+        sched::LeastLoadedPolicy policy(watermark);
+        // Several picks on one policy, so its reused buffer is covered.
+        for (int round = 0; round < 4; ++round) {
+            cluster::ResourceSpec spec = server_shape(request_gpus);
+            spec.millicpus = 1000;
+            spec.memory_mb = 4096;
+            if (rng.bernoulli(0.1)) {
+                spec.millicpus = 32000;  // only wide servers fit
+            }
+            // count ranges past the candidate count.
+            const auto count = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(
+                                       cluster.size()) + 3));
+            ASSERT_EQ(policy.pick(cluster, spec, count, replicas),
+                      reference_pick(cluster, spec, count, replicas,
+                                     watermark))
+                << "servers=" << cluster.size() << " count=" << count
+                << " gpus=" << request_gpus << " R=" << replicas
+                << " W=" << watermark;
+        }
+    });
+}
+
+TEST(PlacementProperty, TopKPickMatchesReferenceAtTheSoftLimit)
+{
+    // Four 8-GPU servers subscribed {26, 26, 26, 25}: with a 1-GPU
+    // request at R=3 the dynamic limit is (103 + 1) / 96 = 104/96. The
+    // last server's new SR is 26/24, exactly on the limit, so it alone
+    // stays preferred and ranks first although it is busier than servers
+    // 2 and 3; the others (27/24) rank after it by load.
+    cluster::Cluster cluster;
+    const std::array<std::int32_t, 4> subscribed{26, 26, 26, 25};
+    for (const std::int32_t gpus : subscribed) {
+        cluster::GpuServer& server = cluster.add_server(server_shape(8));
+        server.subscribe(cluster::ResourceSpec{0, 0, gpus, 0.0});
+    }
+    cluster.find(1)->commit(cluster::ResourceSpec{0, 0, 3, 0.0});
+    cluster.find(4)->commit(cluster::ResourceSpec{0, 0, 1, 0.0});
+    const cluster::ResourceSpec spec{1000, 4096, 1, 16.0};
+    sched::LeastLoadedPolicy policy(3.0);
+    EXPECT_DOUBLE_EQ(policy.current_limit(cluster, 3), 103.0 / 96.0);
+    for (std::size_t count = 0; count <= 5; ++count) {
+        EXPECT_EQ(policy.pick(cluster, spec, count, 3),
+                  reference_pick(cluster, spec, count, 3, 3.0))
+            << "count=" << count;
+    }
+    EXPECT_EQ(policy.pick(cluster, spec, 4, 3),
+              (std::vector<cluster::ServerId>{4, 2, 3, 1}));
+}
+
+TEST(PlacementProperty, EmptyClusterPicksNothing)
+{
+    const cluster::Cluster cluster;
+    sched::LeastLoadedPolicy policy;
+    const cluster::ResourceSpec spec{};
+    EXPECT_TRUE(policy.pick(cluster, spec, 3, 3).empty());
+    EXPECT_TRUE(reference_pick(cluster, spec, 3, 3, 3.0).empty());
+}
+
+/** The pool's below-target set equals {id : deficit(id) > 0} in id order
+ *  after every operation of a random sequence over registered, removed
+ *  and never-registered ids. */
+TEST(PrewarmPoolProperty, BelowTargetSetMatchesBruteForce)
+{
+    test::check_property(32, [](sim::Rng& rng, std::size_t) {
+        constexpr cluster::ServerId kMaxId = 12;
+        cluster::PrewarmPool pool(
+            static_cast<std::int32_t>(rng.uniform_int(0, 3)));
+        for (int step = 0; step < 400; ++step) {
+            // Id 0 and kMaxId + 1 are never registered.
+            const auto id = static_cast<cluster::ServerId>(
+                rng.uniform_int(0, kMaxId + 1));
+            const bool known = id >= 1 && id <= kMaxId;
+            switch (rng.uniform_int(0, 5)) {
+            case 0:
+                if (known) {
+                    pool.register_server(id);
+                }
+                break;
+            case 1:
+                pool.unregister_server(id);
+                break;
+            case 2:
+                pool.acquire(id);
+                break;
+            case 3:
+                pool.begin_refill(id);
+                break;
+            case 4:
+                pool.complete_refill(id);
+                break;
+            default:
+                pool.release(id);
+                break;
+            }
+            std::vector<cluster::ServerId> expected;
+            for (cluster::ServerId probe = 0; probe <= kMaxId + 1; ++probe) {
+                if (pool.deficit(probe) > 0) {
+                    expected.push_back(probe);
+                }
+            }
+            const std::vector<cluster::ServerId> actual(
+                pool.below_target().begin(), pool.below_target().end());
+            ASSERT_EQ(actual, expected) << "step " << step;
+        }
+    });
 }
 
 }  // namespace
