@@ -9,7 +9,6 @@
 #include <queue>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "core/platform.hpp"
 #include "sched/routing.hpp"
 #include "sched/shard_router.hpp"
+#include "sim/shard_team.hpp"
 
 namespace nbos::core {
 
@@ -71,12 +71,88 @@ elapsed_seconds(std::chrono::steady_clock::time_point since)
         .count();
 }
 
+using ShardList = std::vector<std::unique_ptr<FastEngineShard>>;
+
+/** The lockstep team the windowed paths advance through: body i runs
+ *  shard i's event loop to the window target. The timer wraps the
+ *  shard's own run_until and nothing else, so busy[i] never counts time
+ *  spent waiting on the team. */
+sim::ShardTeam
+window_team(ShardList& shards, std::vector<double>& busy, bool parallel)
+{
+    return sim::ShardTeam(
+        shards.size(), parallel,
+        [&shards, &busy](std::size_t i, sim::Time t) {
+            const auto begin = std::chrono::steady_clock::now();
+            shards[i]->run_until(t);
+            busy[i] += elapsed_seconds(begin);
+        });
+}
+
+/** Trace-event kinds of the windowed injection paths; the numeric order
+ *  at equal times mirrors schedule_workload's per-session order (start,
+ *  end, tasks). */
+enum InjectionKind : std::int32_t
+{
+    kStart = 0,
+    kEnd = 1,
+    kTask = 2,
+};
+
+void
+inject(FastEngineShard& owner, std::int32_t kind,
+       const workload::SessionSpec* sp, const workload::CellTask* task)
+{
+    switch (kind) {
+        case kStart:
+            owner.inject_session_start(sp);
+            break;
+        case kEnd:
+            owner.inject_session_end(sp);
+            break;
+        case kTask:
+            owner.inject_task(sp, task);
+            break;
+        default:
+            break;
+    }
+}
+
+/** Window boundary under `rebalance`: merge the window's loads in shard
+ *  order, plan with sched::plan_rebalance (a pure function of them), and
+ *  move the chosen sessions. @return sessions moved. */
+std::uint64_t
+rebalance_boundary(ShardList& shards, sched::RoutingTable& table,
+                   std::vector<std::uint64_t>& window_events)
+{
+    std::vector<sched::ShardLoad> loads(shards.size());
+    std::vector<std::vector<sched::SessionLoad>> sessions(shards.size());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        shards[i]->harvest_window_load(loads[i], sessions[i]);
+        const std::uint64_t executed = shards[i]->events_executed();
+        loads[i].events = executed - window_events[i];
+        window_events[i] = executed;
+    }
+    std::uint64_t moved = 0;
+    for (const sched::MigrationDecision& move :
+         sched::plan_rebalance(loads, sessions)) {
+        FastEngineShard::FastSessionExtract extract;
+        if (!shards[static_cast<std::size_t>(move.from)]->extract_session(
+                move.session, extract)) {
+            continue;
+        }
+        shards[static_cast<std::size_t>(move.to)]->adopt_session(extract);
+        table.assign(move.session, move.to);
+        ++moved;
+    }
+    return moved;
+}
+
 /** Deterministic cross-shard merge, always in shard order — shared by
  *  every multi-shard policy path. Consumes the shards (finish()). */
 ExperimentResults
-merge_shards(std::vector<std::unique_ptr<FastEngineShard>>& shards,
-             const std::string& trace_name, sim::Time makespan,
-             const PlatformConfig& config)
+merge_shards(ShardList& shards, const std::string& trace_name,
+             sim::Time makespan, const PlatformConfig& config)
 {
     std::vector<ExperimentResults> per_shard;
     per_shard.reserve(shards.size());
@@ -236,7 +312,7 @@ ShardedFastSim::run()
         for (FastShardPlan& plan : plans) {
             plan.windowed = true;
         }
-        std::vector<std::unique_ptr<FastEngineShard>> shards;
+        ShardList shards;
         shards.reserve(plans.size());
         for (FastShardPlan& plan : plans) {
             shards.push_back(
@@ -247,15 +323,7 @@ ShardedFastSim::run()
             shard->start();
         }
 
-        // One globally sorted injection list; kind order at equal times
-        // mirrors schedule_workload's per-session order (start, end,
-        // tasks).
-        enum Kind : std::int32_t
-        {
-            kStart = 0,
-            kEnd = 1,
-            kTask = 2,
-        };
+        // One globally sorted injection list in (time, id, kind) order.
         struct Injection
         {
             sim::Time time;
@@ -293,35 +361,8 @@ ShardedFastSim::run()
                              return a.kind < b.kind;
                          });
 
-        const auto advance = [&](sim::Time t) {
-            if (config_.scheduler.shard_parallel && shards.size() > 1) {
-                std::vector<std::thread> threads;
-                threads.reserve(shards.size() - 1);
-                for (std::size_t i = 1; i < shards.size(); ++i) {
-                    FastEngineShard* shard = shards[i].get();
-                    double* busy = &shard_busy_seconds_[i];
-                    threads.emplace_back([shard, busy, t] {
-                        const auto begin =
-                            std::chrono::steady_clock::now();
-                        shard->run_until(t);
-                        *busy += elapsed_seconds(begin);
-                    });
-                }
-                const auto begin = std::chrono::steady_clock::now();
-                shards.front()->run_until(t);
-                shard_busy_seconds_[0] += elapsed_seconds(begin);
-                for (std::thread& thread : threads) {
-                    thread.join();
-                }
-            } else {
-                for (std::size_t i = 0; i < shards.size(); ++i) {
-                    const auto begin = std::chrono::steady_clock::now();
-                    shards[i]->run_until(t);
-                    shard_busy_seconds_[i] += elapsed_seconds(begin);
-                }
-            }
-        };
-
+        sim::ShardTeam team = window_team(
+            shards, shard_busy_seconds_, config_.scheduler.shard_parallel);
         sched::RoutingTable table(count);
         std::vector<std::uint64_t> window_events(shards.size(), 0);
         std::size_t cursor = 0;
@@ -329,53 +370,18 @@ ShardedFastSim::run()
             while (cursor < injections.size() &&
                    injections[cursor].time <= t) {
                 const Injection& inj = injections[cursor++];
-                FastEngineShard& owner =
-                    *shards[table.shard_of(inj.sp->id)];
-                switch (inj.kind) {
-                    case kStart:
-                        owner.inject_session_start(inj.sp);
-                        break;
-                    case kEnd:
-                        owner.inject_session_end(inj.sp);
-                        break;
-                    case kTask:
-                        owner.inject_task(inj.sp, inj.task);
-                        break;
-                    default:
-                        break;
-                }
+                inject(*shards[table.shard_of(inj.sp->id)], inj.kind,
+                       inj.sp, inj.task);
             }
-            advance(t);
+            team.run(t);
             if (t >= trace_.makespan) {
                 break;
             }
-            // Window boundary: merge loads in shard order, plan, apply.
-            std::vector<sched::ShardLoad> loads(shards.size());
-            std::vector<std::vector<sched::SessionLoad>> sessions(
-                shards.size());
-            for (std::size_t i = 0; i < shards.size(); ++i) {
-                shards[i]->harvest_window_load(loads[i], sessions[i]);
-                const std::uint64_t executed =
-                    shards[i]->events_executed();
-                loads[i].events = executed - window_events[i];
-                window_events[i] = executed;
-            }
-            const std::vector<sched::MigrationDecision> plan =
-                sched::plan_rebalance(loads, sessions);
-            for (const sched::MigrationDecision& move : plan) {
-                FastEngineShard::FastSessionExtract extract;
-                if (!shards[static_cast<std::size_t>(move.from)]
-                         ->extract_session(move.session, extract)) {
-                    continue;
-                }
-                shards[static_cast<std::size_t>(move.to)]->adopt_session(
-                    extract);
-                table.assign(move.session, move.to);
-                ++sessions_rebalanced_;
-            }
+            sessions_rebalanced_ +=
+                rebalance_boundary(shards, table, window_events);
         }
         // Drain window for in-flight cells.
-        advance(horizon);
+        team.run(horizon);
 
         events_executed_ = 0;
         shard_events_.clear();
@@ -433,7 +439,7 @@ ShardedFastSim::run()
         }
     }
 
-    std::vector<std::unique_ptr<FastEngineShard>> shards;
+    ShardList shards;
     shards.reserve(plans.size());
     for (FastShardPlan& plan : plans) {
         shards.push_back(std::make_unique<FastEngineShard>(std::move(plan),
@@ -441,33 +447,19 @@ ShardedFastSim::run()
     }
 
     // Shards never interact, so each one runs start-to-drain in a single
-    // pass — one analytic shard per thread, shard 0 on the calling
-    // thread. thread::join is the happens-before edge for the merges
-    // below; with shard_parallel off the same passes run serially,
-    // bit-identically.
-    const auto run_shard = [horizon](FastEngineShard* shard,
-                                     double* busy) {
-        const auto begin = std::chrono::steady_clock::now();
-        shard->start();
-        shard->run_until(horizon);
-        *busy += elapsed_seconds(begin);
-    };
-    if (config_.scheduler.shard_parallel) {
-        std::vector<std::thread> threads;
-        threads.reserve(shards.size() - 1);
-        for (std::size_t i = 1; i < shards.size(); ++i) {
-            threads.emplace_back(run_shard, shards[i].get(),
-                                 &shard_busy_seconds_[i]);
-        }
-        run_shard(shards.front().get(), &shard_busy_seconds_[0]);
-        for (std::thread& thread : threads) {
-            thread.join();
-        }
-    } else {
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            run_shard(shards[i].get(), &shard_busy_seconds_[i]);
-        }
-    }
+    // team window — shard 0 on the calling thread, the others on the
+    // team's helpers (or serially, bit-identically, with shard_parallel
+    // off). The window's completion orders every shard's writes before
+    // the merges below.
+    sim::ShardTeam team(
+        shards.size(), config_.scheduler.shard_parallel,
+        [this, &shards](std::size_t i, sim::Time t) {
+            const auto begin = std::chrono::steady_clock::now();
+            shards[i]->start();
+            shards[i]->run_until(t);
+            shard_busy_seconds_[i] += elapsed_seconds(begin);
+        });
+    team.run(horizon);
 
     events_executed_ = 0;
     shard_events_.clear();
@@ -506,7 +498,7 @@ run_fast_streamed(workload::SessionSource& source,
     for (FastShardPlan& plan : plans) {
         plan.windowed = true;
     }
-    std::vector<std::unique_ptr<FastEngineShard>> shards;
+    ShardList shards;
     shards.reserve(plans.size());
     for (FastShardPlan& plan : plans) {
         shards.push_back(
@@ -516,40 +508,6 @@ run_fast_streamed(workload::SessionSource& source,
         shard->start();
     }
 
-    const auto advance = [&](sim::Time t) {
-        if (config.scheduler.shard_parallel && shards.size() > 1) {
-            std::vector<std::thread> threads;
-            threads.reserve(shards.size() - 1);
-            for (std::size_t i = 1; i < shards.size(); ++i) {
-                FastEngineShard* shard = shards[i].get();
-                double* busy = &out.shard_busy_seconds[i];
-                threads.emplace_back([shard, busy, t] {
-                    const auto begin = std::chrono::steady_clock::now();
-                    shard->run_until(t);
-                    *busy += elapsed_seconds(begin);
-                });
-            }
-            const auto begin = std::chrono::steady_clock::now();
-            shards.front()->run_until(t);
-            out.shard_busy_seconds[0] += elapsed_seconds(begin);
-            for (std::thread& thread : threads) {
-                thread.join();
-            }
-        } else {
-            for (std::size_t i = 0; i < shards.size(); ++i) {
-                const auto begin = std::chrono::steady_clock::now();
-                shards[i]->run_until(t);
-                out.shard_busy_seconds[i] += elapsed_seconds(begin);
-            }
-        }
-    };
-
-    enum Kind : std::int32_t
-    {
-        kStart = 0,
-        kEnd = 1,
-        kTask = 2,
-    };
     struct Injection
     {
         sim::Time time;
@@ -646,6 +604,8 @@ run_fast_streamed(workload::SessionSource& source,
         retire.push(Retire{last_event, sp->id});
     };
 
+    sim::ShardTeam team = window_team(shards, out.shard_busy_seconds,
+                                      config.scheduler.shard_parallel);
     std::vector<std::uint64_t> window_events(shards.size(), 0);
     workload::SessionSpec pending;
     bool has_pending = source.next(pending);
@@ -658,24 +618,12 @@ run_fast_streamed(workload::SessionSource& source,
         while (!injections.empty() && injections.top().time <= t) {
             const Injection inj = injections.top();
             injections.pop();
-            FastEngineShard& owner = *shards[table.shard_of(inj.sp->id)];
-            switch (inj.kind) {
-                case kStart:
-                    owner.inject_session_start(inj.sp);
-                    break;
-                case kEnd:
-                    owner.inject_session_end(inj.sp);
-                    break;
-                case kTask:
-                    owner.inject_task(inj.sp, inj.task);
-                    break;
-                default:
-                    break;
-            }
+            inject(*shards[table.shard_of(inj.sp->id)], inj.kind, inj.sp,
+                   inj.task);
         }
-        advance(t);
+        team.run(t);
         // Every event of a session with last_event <= t has been injected
-        // and executed inside advance, so its spec is unreferenced
+        // and executed inside team.run, so its spec is unreferenced
         // (in-flight engine work holds copies, not trace pointers).
         while (!retire.empty() && retire.top().first <= t) {
             live.erase(retire.top().second);
@@ -685,33 +633,12 @@ run_fast_streamed(workload::SessionSource& source,
             break;
         }
         if (rebalancing) {
-            std::vector<sched::ShardLoad> loads(shards.size());
-            std::vector<std::vector<sched::SessionLoad>> sessions(
-                shards.size());
-            for (std::size_t i = 0; i < shards.size(); ++i) {
-                shards[i]->harvest_window_load(loads[i], sessions[i]);
-                const std::uint64_t executed =
-                    shards[i]->events_executed();
-                loads[i].events = executed - window_events[i];
-                window_events[i] = executed;
-            }
-            const std::vector<sched::MigrationDecision> plan =
-                sched::plan_rebalance(loads, sessions);
-            for (const sched::MigrationDecision& move : plan) {
-                FastEngineShard::FastSessionExtract extract;
-                if (!shards[static_cast<std::size_t>(move.from)]
-                         ->extract_session(move.session, extract)) {
-                    continue;
-                }
-                shards[static_cast<std::size_t>(move.to)]->adopt_session(
-                    extract);
-                table.assign(move.session, move.to);
-                ++out.sessions_rebalanced;
-            }
+            out.sessions_rebalanced +=
+                rebalance_boundary(shards, table, window_events);
         }
     }
     // Drain window for in-flight cells.
-    advance(horizon);
+    team.run(horizon);
 
     out.events_executed = 0;
     for (const auto& shard : shards) {

@@ -1,7 +1,8 @@
 /**
  * @file
  * ShardedFastSim: the fast analytic engine partitioned across N
- * independent shards (SchedulerConfig::shards), one per thread.
+ * independent shards (SchedulerConfig::shards), one per thread of a
+ * sim::ShardTeam that lives for the whole run.
  *
  * Sessions are routed to shards through the routing layer
  * (SchedulerConfig::routing, sched/routing.hpp):
@@ -23,8 +24,10 @@
  * event loop (FastEngineShard), and the driver merges the per-shard
  * aggregates in shard order, so
  *
- *  - parallel ≡ serial (shards share nothing; the fork/join is the only
- *    synchronization, toggled by SchedulerConfig::shard_parallel), and
+ *  - parallel ≡ serial (shards share nothing; the team's window
+ *    completion is the only synchronization, and
+ *    SchedulerConfig::shard_parallel off runs the same bodies serially),
+ *    and
  *  - shards == 1 is byte-identical to the pre-sharding monolithic fast
  *    path (single shard, full trace, caller's seed, timeline recording).
  *

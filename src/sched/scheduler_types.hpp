@@ -78,9 +78,13 @@ struct SchedulerConfig
      */
     std::int32_t shards = 1;
     /** Run shard event loops on parallel threads inside each lockstep
-     *  window. Shards share no mutable state, so parallel execution is
-     *  bit-identical to serial (pinned by determinism_test); disabling is
-     *  only useful for debugging and for that equivalence test. */
+     *  window: the sharded drivers start one sim::ShardTeam per run
+     *  (shards - 1 helper threads, parked between windows; shard 0 runs
+     *  on the driving thread). Off, or at one shard, the team has no
+     *  threads and sweeps the shards serially in index order. Shards
+     *  share no mutable state, so parallel execution is bit-identical to
+     *  serial (pinned by determinism_test); disabling is only useful for
+     *  debugging and for that equivalence test. */
     bool shard_parallel = true;
     /**
      * Session -> shard routing policy (sched/routing.hpp). The default,

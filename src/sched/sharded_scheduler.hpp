@@ -12,9 +12,10 @@
  * deterministically in shard order.
  *
  * Because shards share no mutable state, run_until() may execute the
- * shard event loops on parallel threads with results bit-identical to a
- * serial sweep (pinned by determinism_test); SchedulerConfig::shards == 1
- * reduces to exactly the monolithic GlobalScheduler behaviour.
+ * shard event loops on parallel threads — a sim::ShardTeam the scheduler
+ * keeps for its whole life — with results bit-identical to a serial sweep
+ * (pinned by determinism_test); SchedulerConfig::shards == 1 reduces to
+ * exactly the monolithic GlobalScheduler behaviour.
  */
 #ifndef NBOS_SCHED_SHARDED_SCHEDULER_HPP
 #define NBOS_SCHED_SHARDED_SCHEDULER_HPP
@@ -28,6 +29,7 @@
 #include "sched/scheduler_types.hpp"
 #include "sched/shard.hpp"
 #include "sched/shard_router.hpp"
+#include "sim/shard_team.hpp"
 
 namespace nbos::sched {
 
@@ -150,10 +152,14 @@ class ShardedGlobalScheduler
 
     /**
      * Advance every shard to time @p t (one lockstep window). With
-     * SchedulerConfig::shard_parallel and more than one shard, each
-     * shard's event loop runs on its own thread; otherwise shards are
-     * swept serially in index order. Both orders produce bit-identical
-     * states because shards share nothing.
+     * SchedulerConfig::shard_parallel and more than one shard, shard 0
+     * runs on the calling thread and every other shard on its own helper
+     * of the scheduler's sim::ShardTeam, started once at construction and
+     * parked between windows; otherwise shards are swept serially in index
+     * order on the calling thread. Both produce bit-identical states
+     * because shards share nothing. Returns after every shard reached
+     * @p t; if shard event loops throw, the lowest-indexed shard's
+     * exception is rethrown here once every shard has stopped.
      */
     void run_until(sim::Time t);
 
@@ -210,6 +216,9 @@ class ShardedGlobalScheduler
     /** events_executed() high-water mark per shard (window deltas). */
     std::vector<std::uint64_t> window_events_;
     std::uint64_t sessions_rebalanced_ = 0;
+    /** Declared last: its helpers are joined before the shards they
+     *  advance are destroyed. */
+    sim::ShardTeam team_;
 };
 
 }  // namespace nbos::sched

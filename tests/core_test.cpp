@@ -5,12 +5,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "billing/billing.hpp"
 #include "core/baselines.hpp"
 #include "core/platform.hpp"
+#include "core/protosim.hpp"
 #include "core/results.hpp"
+#include "core/sharded_fastsim.hpp"
 #include "harness.hpp"
 #include "workload/generator.hpp"
+#include "workload/session_source.hpp"
 
 namespace nbos::core {
 namespace {
@@ -395,6 +402,64 @@ TEST(ReservationEngineTest, CommittedEqualsReservedShape)
     const auto oracle = oracle_gpu_series(trace);
     EXPECT_GT(results.gpu_hours_committed(),
               1.5 * oracle.integrate_hours(0, trace.makespan));
+}
+
+/** The std::invalid_argument message @p run throws ("" if none). */
+template <typename Run>
+std::string
+invalid_argument_from(Run&& run)
+{
+    try {
+        run();
+    } catch (const std::invalid_argument& error) {
+        return error.what();
+    }
+    return "";
+}
+
+/** Both streamed drivers reject a source that breaks its ordering or
+ *  id-uniqueness contract with a named std::invalid_argument. With four
+ *  parallel shards the violation is found between windows while the
+ *  shard team's helpers are alive, so this also pins that the team
+ *  unwinds cleanly instead of terminating the process. */
+TEST(StreamedDriverErrorTest, BadSourcesThrowWithShardHelpersAlive)
+{
+    const workload::Trace base = tiny_trace(8, 2 * kHour);
+    const std::size_t n = base.sessions.size();
+    ASSERT_GE(n, 3u);
+    ASSERT_GT(base.sessions[n - 2].start_time, 0);
+    ASSERT_LT(base.sessions[n - 2].start_time,
+              base.sessions[n - 1].start_time);
+
+    workload::Trace unsorted = base;
+    std::swap(unsorted.sessions[n - 2], unsorted.sessions[n - 1]);
+    workload::Trace repeated = base;
+    repeated.sessions[n - 1].id = repeated.sessions[n - 2].id;
+    const std::string repeated_message =
+        "streamed session source repeated session id " +
+        std::to_string(repeated.sessions[n - 1].id);
+    const std::string unsorted_message =
+        "streamed session source is not sorted by start time";
+
+    for (const bool fast : {true, false}) {
+        SCOPED_TRACE(fast ? "run_fast_streamed" : "run_prototype_streamed");
+        PlatformConfig config =
+            test::platform_config(Policy::kNotebookOS, /*seed=*/5, fast);
+        config.scheduler.shards = 4;
+        config.scheduler.shard_parallel = true;
+        const auto run_over = [&](const workload::Trace& trace) {
+            return invalid_argument_from([&] {
+                workload::TraceSessionSource source(trace);
+                if (fast) {
+                    run_fast_streamed(source, config);
+                } else {
+                    run_prototype_streamed(source, config);
+                }
+            });
+        };
+        EXPECT_EQ(run_over(unsorted), unsorted_message);
+        EXPECT_EQ(run_over(repeated), repeated_message);
+    }
 }
 
 }  // namespace

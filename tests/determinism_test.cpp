@@ -499,6 +499,52 @@ TEST(DeterminismTest, RoutedFastDeterministicAndParallelAgnostic)
     }
 }
 
+/** Parallel ≡ serial survives oversubscription and long runs: 8 shards
+ *  (more than a typical CI box's cores, so helpers of the persistent
+ *  shard team get descheduled mid-window) over at least 1,000 lockstep
+ *  windows, for the streamed fast driver under rebalance. */
+TEST(DeterminismTest, FastStreamedOversubscribedParallelMatchesSerial)
+{
+    const auto trace = test::tiny_trace(48, 9 * sim::kHour);
+    core::PlatformConfig config = test::platform_config(
+        core::Policy::kNotebookOS, /*seed=*/41, /*fast=*/true);
+    config.scheduler.shards = 8;
+    config.scheduler.routing = sched::RoutingPolicyKind::kRebalance;
+    ASSERT_GE(trace.makespan / config.scheduler.autoscale_interval, 1000);
+    config.scheduler.shard_parallel = false;
+    workload::TraceSessionSource serial_source(trace);
+    const core::StreamedFastRun serial =
+        core::run_fast_streamed(serial_source, config);
+    config.scheduler.shard_parallel = true;
+    workload::TraceSessionSource parallel_source(trace);
+    const core::StreamedFastRun parallel =
+        core::run_fast_streamed(parallel_source, config);
+    test::expect_results_identical(serial.results, parallel.results);
+    EXPECT_EQ(parallel.events_executed, serial.events_executed);
+    EXPECT_EQ(parallel.shard_events, serial.shard_events);
+    EXPECT_EQ(parallel.sessions_rebalanced, serial.sessions_rebalanced);
+    EXPECT_GT(serial.sessions_rebalanced, 0u);
+}
+
+/** The same for the sharded prototype scheduler: 8 shards, rebalance
+ *  routing, a 10 s sampling grid (one lockstep window per sample) over
+ *  a 3-hour trace. */
+TEST(DeterminismTest, ShardedPrototypeOversubscribedParallelMatchesSerial)
+{
+    const auto trace = test::tiny_trace(8, 3 * sim::kHour);
+    core::PlatformConfig config =
+        test::platform_config(core::Policy::kNotebookOS, /*seed=*/41);
+    config.sample_interval = 10 * sim::kSecond;
+    config.scheduler.shards = 8;
+    config.scheduler.routing = sched::RoutingPolicyKind::kRebalance;
+    config.scheduler.shard_parallel = false;
+    const auto serial = core::Platform(config).run(trace);
+    ASSERT_GE(serial.provisioned_gpus.size(), 1000u);
+    config.scheduler.shard_parallel = true;
+    const auto parallel = core::Platform(config).run(trace);
+    test::expect_results_identical(serial, parallel);
+}
+
 /** Chaos-enabled prototype runs honor the same contract: same seed, same
  *  generated fault plan, bit-identical results — including the injected
  *  fault stream itself (the serialized RECORD schedules must match). */

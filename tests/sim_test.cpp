@@ -1,19 +1,31 @@
 /**
  * @file
- * Unit and property tests for the discrete-event engine and the RNG.
+ * Unit and property tests for the discrete-event engine, the RNG, and the
+ * sharded drivers' lockstep thread team.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness.hpp"
 #include "sim/rng.hpp"
+#include "sim/shard_team.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -483,6 +495,162 @@ TEST_P(RunUntilProperty, ClockMatchesTarget)
 
 INSTANTIATE_TEST_SUITE_P(Targets, RunUntilProperty,
                          ::testing::Values(0, 1, 37, 500, 999, 1000, 5000));
+
+/** Threads of this process (Linux: one entry per task). */
+std::size_t
+process_threads()
+{
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+/** Every window runs each index exactly once, body 0 on the caller and
+ *  the others on the team's helpers, and the bodies' plain writes are
+ *  visible to the caller as soon as run() returns. */
+TEST(ShardTeamTest, EveryIndexRunsOncePerWindowAndWritesAreVisible)
+{
+    constexpr std::size_t kShards = 4;
+    constexpr Time kWindows = 10000;
+    std::vector<std::int64_t> runs(kShards, 0);
+    std::vector<Time> last(kShards, -1);
+    std::vector<std::thread::id> runner(kShards);
+    ShardTeam team(kShards, /*parallel=*/true,
+                   [&](std::size_t shard, Time t) {
+                       runs[shard] += 1;
+                       last[shard] = t;
+                       runner[shard] = std::this_thread::get_id();
+                   });
+    ASSERT_EQ(team.shards(), kShards);
+    ASSERT_EQ(team.helpers(), kShards - 1);
+    for (Time t = 0; t < kWindows; ++t) {
+        team.run(t);
+        for (std::size_t i = 0; i < kShards; ++i) {
+            ASSERT_EQ(runs[i], t + 1) << "shard " << i;
+            ASSERT_EQ(last[i], t) << "shard " << i;
+        }
+    }
+    EXPECT_EQ(runner[0], std::this_thread::get_id());
+    for (std::size_t i = 1; i < kShards; ++i) {
+        EXPECT_NE(runner[i], std::this_thread::get_id()) << "shard " << i;
+        for (std::size_t j = i + 1; j < kShards; ++j) {
+            EXPECT_NE(runner[i], runner[j]);
+        }
+    }
+}
+
+/** With parallel off, or a single shard, the team owns no threads and
+ *  runs the bodies on the caller in index order. */
+TEST(ShardTeamTest, ZeroHelperTeamRunsSeriallyInIndexOrder)
+{
+    for (const auto& [shards, parallel] :
+         {std::pair<std::size_t, bool>{5, false},
+          std::pair<std::size_t, bool>{1, true}}) {
+        SCOPED_TRACE(std::to_string(shards) + (parallel ? " parallel"
+                                                        : " serial"));
+        const std::size_t threads_before = process_threads();
+        std::vector<std::size_t> order;
+        bool off_caller = false;
+        const std::thread::id caller = std::this_thread::get_id();
+        ShardTeam team(shards, parallel, [&](std::size_t shard, Time) {
+            order.push_back(shard);
+            off_caller = off_caller || std::this_thread::get_id() != caller;
+        });
+        EXPECT_EQ(team.helpers(), 0u);
+        EXPECT_EQ(process_threads(), threads_before);
+        for (Time t = 0; t < 3; ++t) {
+            team.run(t);
+        }
+        std::vector<std::size_t> expected;
+        for (int window = 0; window < 3; ++window) {
+            for (std::size_t i = 0; i < shards; ++i) {
+                expected.push_back(i);
+            }
+        }
+        EXPECT_EQ(order, expected);
+        EXPECT_FALSE(off_caller);
+    }
+}
+
+/** A throw on a helper surfaces on the caller once the window is over
+ *  (the sibling bodies still ran); with several throwers the lowest
+ *  index wins. The team then runs further windows and shuts down
+ *  cleanly. Serial teams behave the same. */
+TEST(ShardTeamTest, HelperThrowIsRethrownOnCaller)
+{
+    for (const bool parallel : {true, false}) {
+        SCOPED_TRACE(parallel ? "parallel" : "serial");
+        std::vector<std::int64_t> runs(4, 0);
+        ShardTeam team(4, parallel, [&](std::size_t shard, Time t) {
+            runs[shard] += 1;
+            if (t == 1 && shard >= 2) {
+                throw std::runtime_error("shard " + std::to_string(shard));
+            }
+        });
+        team.run(0);
+        try {
+            team.run(1);
+            ADD_FAILURE() << "run(1) did not throw";
+        } catch (const std::runtime_error& error) {
+            EXPECT_STREQ(error.what(), "shard 2");
+        }
+        EXPECT_EQ(runs, (std::vector<std::int64_t>{2, 2, 2, 2}));
+        team.run(2);
+        EXPECT_EQ(runs, (std::vector<std::int64_t>{3, 3, 3, 3}));
+    }
+}
+
+/** A throw from the caller's own body (index 0) is held until every
+ *  helper has finished the window, then rethrown. */
+TEST(ShardTeamTest, CallerThrowWaitsForHelpersThenRethrows)
+{
+    std::vector<std::int64_t> finished(3, 0);
+    ShardTeam team(3, /*parallel=*/true, [&](std::size_t shard, Time t) {
+        if (shard == 0) {
+            if (t == 1) {
+                throw std::invalid_argument("caller");
+            }
+        } else if (t == 1) {
+            // Outlast the caller's body so run() has to wait.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        finished[shard] += 1;
+    });
+    team.run(0);
+    EXPECT_THROW(team.run(1), std::invalid_argument);
+    EXPECT_EQ(finished, (std::vector<std::int64_t>{1, 2, 2}));
+    team.run(2);
+    EXPECT_EQ(finished, (std::vector<std::int64_t>{2, 3, 3}));
+}
+
+/** Destroying a team joins its helpers: idle from birth, after windows,
+ *  and during stack unwinding. */
+TEST(ShardTeamTest, DestroyingTeamJoinsEveryHelper)
+{
+    const std::size_t threads_before = process_threads();
+    {
+        ShardTeam idle(4, /*parallel=*/true, [](std::size_t, Time) {});
+        EXPECT_EQ(idle.helpers(), 3u);
+        EXPECT_EQ(process_threads(), threads_before + 3);
+    }
+    EXPECT_EQ(process_threads(), threads_before);
+    {
+        ShardTeam used(8, /*parallel=*/true, [](std::size_t, Time) {});
+        for (Time t = 0; t < 100; ++t) {
+            used.run(t);
+        }
+    }
+    EXPECT_EQ(process_threads(), threads_before);
+    EXPECT_THROW(
+        {
+            ShardTeam unwound(4, /*parallel=*/true,
+                              [](std::size_t, Time) {});
+            unwound.run(0);
+            throw std::runtime_error("unwind");
+        },
+        std::runtime_error);
+    EXPECT_EQ(process_threads(), threads_before);
+}
 
 }  // namespace
 }  // namespace nbos::sim
