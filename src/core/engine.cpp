@@ -168,6 +168,9 @@ validate_config(const PlatformConfig& config)
     if (config.sample_interval <= 0) {
         return "sample_interval must be positive";
     }
+    if (config.scheduler.autoscale_interval <= 0) {
+        return "scheduler.autoscale_interval must be positive";
+    }
     if (config.scheduler.shards < 1) {
         return "scheduler.shards must be >= 1";
     }

@@ -660,19 +660,7 @@ FastEngineShard::harvest_window_load(sched::ShardLoad& load,
 void
 FastEngineShard::finalize()
 {
-    std::vector<std::pair<sim::Time, double>> committed;
-    for (TaskOutcome& task : results_.tasks) {
-        if (task.reply == 0) {
-            task.aborted = true;
-        }
-        if (task.is_gpu && !task.aborted) {
-            committed.emplace_back(task.exec_start,
-                                   static_cast<double>(task.gpus));
-            committed.emplace_back(task.exec_end,
-                                   -static_cast<double>(task.gpus));
-        }
-    }
-    results_.committed_gpus = series_from_deltas(std::move(committed));
+    finalize_tasks(results_);
     results_.read_ms = store_.read_latencies();
     results_.write_ms = store_.write_latencies();
     results_.store_bytes_written = store_.bytes_written();

@@ -125,9 +125,9 @@ class FastEngineShard
 
     /** @name Windowed mode (routing layer)
      *
-     * Used only by the ShardedFastSim rebalance driver: trace events are
-     * injected into the *current* owner shard one lockstep window at a
-     * time, and whole sessions move between shards at window boundaries.
+     * Used only by run_fast_streamed: trace events are injected into the
+     * *current* owner shard one lockstep window at a time, and whole
+     * sessions move between shards at window boundaries.
      * All calls happen on the driving thread between windows.
      */
     ///@{

@@ -1,18 +1,16 @@
 #include "core/protosim.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <iterator>
-#include <limits>
 #include <map>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
 #include "core/platform.hpp"
+#include "core/window_injector.hpp"
 #include "sched/global_scheduler.hpp"
 #include "sched/sharded_scheduler.hpp"
 #include "sim/simulation.hpp"
@@ -21,25 +19,40 @@ namespace nbos::core {
 
 namespace {
 
-/** Shared tail of both engine variants: tasks that never saw a reply are
- *  aborted, and the committed-GPU step series is rebuilt from the
- *  completed GPU tasks' execution intervals. */
-void
-finalize_committed_series(ExperimentResults& results)
+/** Append @p task's outcome slot to @p tasks (submit unset) and return
+ *  its index: closures hold indices, not pointers, so growth is safe. */
+std::size_t
+add_outcome(std::vector<TaskOutcome>& tasks,
+            const workload::SessionSpec& session,
+            const workload::CellTask& task)
 {
-    std::vector<std::pair<sim::Time, double>> committed;
-    for (TaskOutcome& task : results.tasks) {
-        if (task.reply == 0) {
-            task.aborted = true;
+    TaskOutcome& outcome = tasks.emplace_back();
+    outcome.session = session.id;
+    outcome.seq = task.seq;
+    outcome.is_gpu = task.is_gpu;
+    outcome.gpus = session.resources.gpus;
+    return tasks.size() - 1;
+}
+
+/** The reply callback of every driver: record the request's timing and
+ *  fate into tasks[index]. */
+sched::SchedulerShard::ExecuteCallback
+record_reply(std::vector<TaskOutcome>& tasks, std::size_t index)
+{
+    return [&tasks, index](const kernel::ExecutionResult& result,
+                           const sched::RequestTrace& request_trace) {
+        TaskOutcome& done = tasks[index];
+        done.trace = request_trace;
+        done.exec_start = request_trace.execution_started;
+        done.exec_end = request_trace.execution_finished;
+        done.reply = request_trace.client_replied;
+        done.migrated = request_trace.migrated;
+        done.aborted = request_trace.aborted ||
+                       result.status == kernel::ExecutionStatus::kError;
+        if (done.aborted) {
+            done.error = result.error;
         }
-        if (task.is_gpu && !task.aborted) {
-            committed.emplace_back(task.exec_start,
-                                   static_cast<double>(task.gpus));
-            committed.emplace_back(task.exec_end,
-                                   -static_cast<double>(task.gpus));
-        }
-    }
-    results.committed_gpus = series_from_deltas(std::move(committed));
+    };
 }
 
 /** The pre-sharding single-event-loop engine: one GlobalScheduler on one
@@ -78,32 +91,11 @@ run_prototype_monolithic(const workload::Trace& trace,
 
     auto submit_task = [&](const workload::SessionSpec& session,
                            const workload::CellTask& task) {
-        results.tasks.push_back(TaskOutcome{});
-        const std::size_t index = results.tasks.size() - 1;
-        TaskOutcome& outcome = results.tasks[index];
-        outcome.session = session.id;
-        outcome.seq = task.seq;
-        outcome.is_gpu = task.is_gpu;
-        outcome.gpus = session.resources.gpus;
-        outcome.submit = simulation.now();
-        scheduler.submit_execute(
-            sessions[session.id].kernel, task.code, task.is_gpu,
-            simulation.now(),
-            [&results, index](const kernel::ExecutionResult& result,
-                              const sched::RequestTrace& request_trace) {
-                TaskOutcome& done = results.tasks[index];
-                done.trace = request_trace;
-                done.exec_start = request_trace.execution_started;
-                done.exec_end = request_trace.execution_finished;
-                done.reply = request_trace.client_replied;
-                done.migrated = request_trace.migrated;
-                done.aborted =
-                    request_trace.aborted ||
-                    result.status == kernel::ExecutionStatus::kError;
-                if (done.aborted) {
-                    done.error = result.error;
-                }
-            });
+        const std::size_t index = add_outcome(results.tasks, session, task);
+        results.tasks[index].submit = simulation.now();
+        scheduler.submit_execute(sessions[session.id].kernel, task.code,
+                                 task.is_gpu, simulation.now(),
+                                 record_reply(results.tasks, index));
     };
 
     for (const workload::SessionSpec& session : trace.sessions) {
@@ -191,7 +183,7 @@ run_prototype_monolithic(const workload::Trace& trace,
     results.read_ms = scheduler.store().read_latencies();
     results.write_ms = scheduler.store().write_latencies();
     results.store_bytes_written = scheduler.store().bytes_written();
-    finalize_committed_series(results);
+    finalize_tasks(results);
     return results;
 }
 
@@ -245,32 +237,11 @@ run_prototype_sharded(const workload::Trace& trace,
                                     sim::Simulation& simulation,
                                     const workload::SessionSpec& session,
                                     const workload::CellTask& task) {
-        driver.tasks.push_back(TaskOutcome{});
-        const std::size_t index = driver.tasks.size() - 1;
-        TaskOutcome& outcome = driver.tasks[index];
-        outcome.session = session.id;
-        outcome.seq = task.seq;
-        outcome.is_gpu = task.is_gpu;
-        outcome.gpus = session.resources.gpus;
-        outcome.submit = simulation.now();
-        scheduler.submit_execute(
-            driver.sessions[session.id].kernel, task.code, task.is_gpu,
-            simulation.now(),
-            [&driver, index](const kernel::ExecutionResult& result,
-                             const sched::RequestTrace& request_trace) {
-                TaskOutcome& done = driver.tasks[index];
-                done.trace = request_trace;
-                done.exec_start = request_trace.execution_started;
-                done.exec_end = request_trace.execution_finished;
-                done.reply = request_trace.client_replied;
-                done.migrated = request_trace.migrated;
-                done.aborted =
-                    request_trace.aborted ||
-                    result.status == kernel::ExecutionStatus::kError;
-                if (done.aborted) {
-                    done.error = result.error;
-                }
-            });
+        const std::size_t index = add_outcome(driver.tasks, session, task);
+        driver.tasks[index].submit = simulation.now();
+        scheduler.submit_execute(driver.sessions[session.id].kernel,
+                                 task.code, task.is_gpu, simulation.now(),
+                                 record_reply(driver.tasks, index));
     };
 
     std::size_t total_tasks = 0;
@@ -355,23 +326,13 @@ run_prototype_sharded(const workload::Trace& trace,
     scheduler.run_until(trace.makespan + 12 * sim::kHour);
 
     // Deterministic cross-shard merge: concatenate in shard order, then
-    // canonicalize to (submit, session, seq) — a total order because a
-    // session's (session, seq) pairs are unique.
+    // canonicalize.
     results.tasks.reserve(total_tasks);
     for (ShardDriver& driver : drivers) {
         std::move(driver.tasks.begin(), driver.tasks.end(),
                   std::back_inserter(results.tasks));
     }
-    std::stable_sort(results.tasks.begin(), results.tasks.end(),
-                     [](const TaskOutcome& a, const TaskOutcome& b) {
-                         if (a.submit != b.submit) {
-                             return a.submit < b.submit;
-                         }
-                         if (a.session != b.session) {
-                             return a.session < b.session;
-                         }
-                         return a.seq < b.seq;
-                     });
+    sort_tasks_canonical(results.tasks);
 
     results.events = scheduler.events();
     results.sched_stats = scheduler.stats();
@@ -380,224 +341,7 @@ run_prototype_sharded(const workload::Trace& trace,
     results.read_ms = scheduler.store_read_ms();
     results.write_ms = scheduler.store_write_ms();
     results.store_bytes_written = scheduler.store_bytes_written();
-    finalize_committed_series(results);
-    return results;
-}
-
-/**
- * The routed sharded engine (`least_loaded` / `rebalance` policies):
- * sessions are admitted through the routing policy instead of the static
- * hash, shards own the session -> kernel bindings, and — under
- * `rebalance` — whole sessions migrate between shards at window
- * boundaries.
- *
- * Because a session's owner can change between windows, trace events are
- * not pre-scheduled into shard simulations up front. Instead the driver
- * keeps one globally sorted injection list and, at each window boundary,
- * injects the next window's events into the *current* owner's simulation
- * before advancing the lockstep clock. Migrations only happen on the
- * driving thread between windows, so every injected closure addresses a
- * shard that owns the session for that whole window.
- *
- * Determinism matches the static driver's: admission and the rebalance
- * plan are pure functions of shard-order-merged loads, injections are
- * processed in (time, session, kind) order, and the final task merge is
- * canonical — so parallel windows stay bit-identical to serial ones.
- */
-ExperimentResults
-run_prototype_routed(const workload::Trace& trace,
-                     const PlatformConfig& config)
-{
-    sched::ShardedGlobalScheduler scheduler(config.scheduler, config.seed);
-    scheduler.start();
-
-    ExperimentResults results;
-    results.policy = Policy::kNotebookOS;
-    results.trace_name = trace.name;
-    results.makespan = trace.makespan;
-
-    // Pre-allocate one outcome slot per trace cell. Slots are written by
-    // whichever shard owns the session at completion time (carried work
-    // keeps its callback across migrations), so the vector must never
-    // reallocate while windows run; cells the shards drop (submitted
-    // after session end) leave their slot unsubmitted and are compacted
-    // away below, mirroring the legacy drivers where such cells never
-    // produce an outcome.
-    std::size_t total_tasks = 0;
-    for (const workload::SessionSpec& session : trace.sessions) {
-        total_tasks += session.tasks.size();
-    }
-    results.tasks.resize(total_tasks);
-    std::vector<char> submitted(total_tasks, 0);
-
-    // One globally sorted injection list. Kind order at equal times
-    // mirrors the static driver's per-session scheduling order (start,
-    // end, then tasks), so a cell submitted exactly at its session's end
-    // time is dropped in both engines.
-    enum Kind : std::int32_t
-    {
-        kStart = 0,
-        kEnd = 1,
-        kTask = 2,
-    };
-    struct Injection
-    {
-        sim::Time time;
-        const workload::SessionSpec* sp;
-        std::int32_t kind;
-        const workload::CellTask* task;
-        std::size_t outcome;
-    };
-    std::vector<Injection> injections;
-    injections.reserve(trace.sessions.size() * 2 + total_tasks);
-    std::size_t outcome_index = 0;
-    for (const workload::SessionSpec& session : trace.sessions) {
-        const workload::SessionSpec* sp = &session;
-        injections.push_back(
-            Injection{session.start_time, sp, kStart, nullptr, 0});
-        if (session.end_time < trace.makespan) {
-            injections.push_back(
-                Injection{session.end_time, sp, kEnd, nullptr, 0});
-        }
-        for (const workload::CellTask& task : session.tasks) {
-            TaskOutcome& outcome = results.tasks[outcome_index];
-            outcome.session = session.id;
-            outcome.seq = task.seq;
-            outcome.is_gpu = task.is_gpu;
-            outcome.gpus = session.resources.gpus;
-            injections.push_back(Injection{task.submit_time, sp, kTask,
-                                           &task, outcome_index});
-            ++outcome_index;
-        }
-    }
-    std::stable_sort(injections.begin(), injections.end(),
-                     [](const Injection& a, const Injection& b) {
-                         if (a.time != b.time) {
-                             return a.time < b.time;
-                         }
-                         if (a.sp->id != b.sp->id) {
-                             return a.sp->id < b.sp->id;
-                         }
-                         return a.kind < b.kind;
-                     });
-
-    // Lockstep windows on the sampling grid: inject the window's events
-    // into their owners, advance every shard to t (in parallel when
-    // configured), sample the merged autoscaler signals, then let the
-    // policy rebalance before the next window's events are routed.
-    std::size_t cursor = 0;
-    for (sim::Time t = 0;; t += config.sample_interval) {
-        while (cursor < injections.size() &&
-               injections[cursor].time <= t) {
-            const Injection& inj = injections[cursor++];
-            const std::size_t owner =
-                inj.kind == kStart
-                    ? scheduler.admit_session(inj.sp->id)
-                    : scheduler.shard_of(inj.sp->id);
-            sched::SchedulerShard* shard = &scheduler.shard(owner);
-            sim::Simulation& simulation = scheduler.simulation(owner);
-            const workload::SessionSpec* sp = inj.sp;
-            switch (inj.kind) {
-                case kStart:
-                    simulation.schedule_at(inj.time, [shard, sp] {
-                        shard->begin_session(sp->id, sp->resources);
-                    });
-                    break;
-                case kEnd:
-                    simulation.schedule_at(inj.time, [shard, sp] {
-                        shard->end_session(sp->id);
-                    });
-                    break;
-                case kTask: {
-                    const workload::CellTask* tp = inj.task;
-                    const std::size_t index = inj.outcome;
-                    sim::Simulation* sim_ptr = &simulation;
-                    simulation.schedule_at(
-                        inj.time, [shard, sim_ptr, sp, tp, index,
-                                   &results, &submitted] {
-                            TaskOutcome& outcome = results.tasks[index];
-                            outcome.submit = sim_ptr->now();
-                            const bool accepted = shard->submit_session(
-                                sp->id, tp->code, tp->is_gpu,
-                                sim_ptr->now(),
-                                [&results, index](
-                                    const kernel::ExecutionResult& result,
-                                    const sched::RequestTrace&
-                                        request_trace) {
-                                    TaskOutcome& done =
-                                        results.tasks[index];
-                                    done.trace = request_trace;
-                                    done.exec_start =
-                                        request_trace.execution_started;
-                                    done.exec_end =
-                                        request_trace.execution_finished;
-                                    done.reply =
-                                        request_trace.client_replied;
-                                    done.migrated =
-                                        request_trace.migrated;
-                                    done.aborted =
-                                        request_trace.aborted ||
-                                        result.status ==
-                                            kernel::ExecutionStatus::
-                                                kError;
-                                    if (done.aborted) {
-                                        done.error = result.error;
-                                    }
-                                });
-                            if (accepted) {
-                                submitted[index] = 1;
-                            }
-                        });
-                    break;
-                }
-                default:
-                    break;
-            }
-        }
-        scheduler.run_until(t);
-        results.provisioned_gpus.record(
-            t, static_cast<double>(scheduler.total_gpus()));
-        results.subscription_ratio.record(t, scheduler.cluster_sr());
-        if (t >= trace.makespan) {
-            break;
-        }
-        scheduler.rebalance_window();
-    }
-    // Drain window for in-flight cells.
-    scheduler.run_until(trace.makespan + 12 * sim::kHour);
-
-    // Compact dropped cells, then canonicalize to (submit, session, seq)
-    // exactly as the static sharded driver does.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < results.tasks.size(); ++i) {
-        if (!submitted[i]) {
-            continue;
-        }
-        if (kept != i) {
-            results.tasks[kept] = std::move(results.tasks[i]);
-        }
-        ++kept;
-    }
-    results.tasks.resize(kept);
-    std::stable_sort(results.tasks.begin(), results.tasks.end(),
-                     [](const TaskOutcome& a, const TaskOutcome& b) {
-                         if (a.submit != b.submit) {
-                             return a.submit < b.submit;
-                         }
-                         if (a.session != b.session) {
-                             return a.session < b.session;
-                         }
-                         return a.seq < b.seq;
-                     });
-
-    results.events = scheduler.events();
-    results.sched_stats = scheduler.stats();
-    results.net_stats = scheduler.network_stats();
-    results.sync_ms = scheduler.sync_latencies_ms();
-    results.read_ms = scheduler.store_read_ms();
-    results.write_ms = scheduler.store_write_ms();
-    results.store_bytes_written = scheduler.store_bytes_written();
-    finalize_committed_series(results);
+    finalize_tasks(results);
     return results;
 }
 
@@ -610,6 +354,7 @@ run_prototype_streamed(workload::SessionSource& source,
     if (config.scheduler.shards < 1) {
         throw std::invalid_argument("scheduler.shards must be >= 1");
     }
+    WindowInjector injector(source, config.sample_interval);
     sched::ShardedGlobalScheduler scheduler(config.scheduler, config.seed);
     scheduler.start();
 
@@ -619,194 +364,58 @@ run_prototype_streamed(workload::SessionSource& source,
     results.trace_name = source.trace_name();
     results.makespan = makespan;
 
-    // Outcome slots are appended as sessions stream in (always on the
-    // driving thread, between windows). Closures hold &results plus an
-    // index and dereference at run time, so growth-triggered reallocation
-    // between windows is safe.
+    // A cell's outcome slot is added when the cell is injected (on the
+    // driving thread, between windows); cells the shards drop (submitted
+    // after their session ended) are compacted away below.
     std::vector<char> submitted;
 
-    enum Kind : std::int32_t
-    {
-        kStart = 0,
-        kEnd = 1,
-        kTask = 2,
-    };
-    struct Injection
-    {
-        sim::Time time;
-        const workload::SessionSpec* sp;
-        std::int32_t kind;
-        const workload::CellTask* task;
-        std::size_t outcome;
-        std::uint64_t seq;
-    };
-    // Min-heap in exactly the routed driver's injection order: (time, id,
-    // kind), with the insertion sequence breaking the only possible
-    // remaining tie (two tasks of one session submitted the same tick,
-    // which the materialized driver keeps in insertion order via
-    // stable_sort).
-    struct InjectionAfter
-    {
-        bool operator()(const Injection& a, const Injection& b) const
-        {
-            if (a.time != b.time) {
-                return a.time > b.time;
-            }
-            if (a.sp->id != b.sp->id) {
-                return a.sp->id > b.sp->id;
-            }
-            if (a.kind != b.kind) {
-                return a.kind > b.kind;
-            }
-            return a.seq > b.seq;
-        }
-    };
-    std::priority_queue<Injection, std::vector<Injection>, InjectionAfter>
-        injections;
-    std::uint64_t next_seq = 0;
-
-    // Live session store: specs stay pinned (map nodes are stable) until
-    // their last trace event has executed, then retire. Memory therefore
-    // tracks the concurrent-session population, not the trace length.
-    struct LiveSession
-    {
-        workload::SessionSpec spec;
-        sim::Time last_event = 0;
-    };
-    std::map<workload::SessionId, LiveSession> live;
-    using Retire = std::pair<sim::Time, workload::SessionId>;
-    std::priority_queue<Retire, std::vector<Retire>, std::greater<Retire>>
-        retire;
-
-    sim::Time last_start = std::numeric_limits<sim::Time>::min();
-    auto admit_one = [&](workload::SessionSpec&& incoming) {
-        if (incoming.start_time < last_start) {
-            throw std::invalid_argument(
-                "streamed session source is not sorted by start time");
-        }
-        last_start = incoming.start_time;
-        const auto [it, inserted] =
-            live.emplace(incoming.id, LiveSession{std::move(incoming), 0});
-        if (!inserted) {
-            throw std::invalid_argument(
-                "streamed session source repeated session id " +
-                std::to_string(it->first));
-        }
-        const workload::SessionSpec* sp = &it->second.spec;
-        sim::Time last_event = sp->start_time;
-        injections.push(Injection{sp->start_time, sp, kStart, nullptr, 0,
-                                  next_seq++});
-        if (sp->end_time < makespan) {
-            injections.push(Injection{sp->end_time, sp, kEnd, nullptr, 0,
-                                      next_seq++});
-            last_event = std::max(last_event, sp->end_time);
-        }
-        for (const workload::CellTask& task : sp->tasks) {
-            results.tasks.push_back(TaskOutcome{});
-            TaskOutcome& outcome = results.tasks.back();
-            outcome.session = sp->id;
-            outcome.seq = task.seq;
-            outcome.is_gpu = task.is_gpu;
-            outcome.gpus = sp->resources.gpus;
-            submitted.push_back(0);
-            injections.push(Injection{task.submit_time, sp, kTask, &task,
-                                      results.tasks.size() - 1,
-                                      next_seq++});
-            last_event = std::max(last_event, task.submit_time);
-        }
-        it->second.last_event = last_event;
-        retire.push(Retire{last_event, sp->id});
-    };
-
-    // Lockstep windows on the sampling grid, exactly as the routed
-    // driver: pull the window's sessions, inject their due events into
-    // the current owners, advance, sample, retire drained specs, then
-    // let the policy rebalance.
-    workload::SessionSpec pending;
-    bool has_pending = source.next(pending);
-    for (sim::Time t = 0;; t += config.sample_interval) {
-        while (has_pending && pending.start_time <= t) {
-            workload::SessionSpec spec = std::move(pending);
-            has_pending = source.next(pending);
-            admit_one(std::move(spec));
-        }
-        while (!injections.empty() && injections.top().time <= t) {
-            const Injection inj = injections.top();
-            injections.pop();
+    // Lockstep windows on the sampling grid: inject the window's events
+    // into their owners, advance every shard to t (in parallel when
+    // configured), sample the merged autoscaler signals, then let the
+    // policy rebalance before the next window's events are routed.
+    for (;;) {
+        for (const WindowEvent& event : injector.next_window()) {
+            const workload::SessionSpec* sp = event.session;
             const std::size_t owner =
-                inj.kind == kStart
-                    ? scheduler.admit_session(inj.sp->id)
-                    : scheduler.shard_of(inj.sp->id);
+                event.kind == WindowEvent::Kind::kStart
+                    ? scheduler.admit_session(sp->id)
+                    : scheduler.shard_of(sp->id);
             sched::SchedulerShard* shard = &scheduler.shard(owner);
-            sim::Simulation& simulation = scheduler.simulation(owner);
-            const workload::SessionSpec* sp = inj.sp;
-            switch (inj.kind) {
-                case kStart:
-                    simulation.schedule_at(inj.time, [shard, sp] {
+            sim::Simulation* simulation = &scheduler.simulation(owner);
+            switch (event.kind) {
+                case WindowEvent::Kind::kStart:
+                    simulation->schedule_at(event.time, [shard, sp] {
                         shard->begin_session(sp->id, sp->resources);
                     });
                     break;
-                case kEnd:
-                    simulation.schedule_at(inj.time, [shard, sp] {
+                case WindowEvent::Kind::kEnd:
+                    simulation->schedule_at(event.time, [shard, sp] {
                         shard->end_session(sp->id);
                     });
                     break;
-                case kTask: {
-                    const workload::CellTask* tp = inj.task;
-                    const std::size_t index = inj.outcome;
-                    sim::Simulation* sim_ptr = &simulation;
-                    simulation.schedule_at(
-                        inj.time, [shard, sim_ptr, sp, tp, index,
-                                   &results, &submitted] {
-                            TaskOutcome& outcome = results.tasks[index];
-                            outcome.submit = sim_ptr->now();
-                            const bool accepted = shard->submit_session(
+                case WindowEvent::Kind::kTask: {
+                    const workload::CellTask* tp = event.task;
+                    const std::size_t index =
+                        add_outcome(results.tasks, *sp, *tp);
+                    submitted.push_back(0);
+                    simulation->schedule_at(
+                        event.time, [shard, simulation, sp, tp, index,
+                                     &results, &submitted] {
+                            results.tasks[index].submit = simulation->now();
+                            submitted[index] = shard->submit_session(
                                 sp->id, tp->code, tp->is_gpu,
-                                sim_ptr->now(),
-                                [&results, index](
-                                    const kernel::ExecutionResult& result,
-                                    const sched::RequestTrace&
-                                        request_trace) {
-                                    TaskOutcome& done =
-                                        results.tasks[index];
-                                    done.trace = request_trace;
-                                    done.exec_start =
-                                        request_trace.execution_started;
-                                    done.exec_end =
-                                        request_trace.execution_finished;
-                                    done.reply =
-                                        request_trace.client_replied;
-                                    done.migrated =
-                                        request_trace.migrated;
-                                    done.aborted =
-                                        request_trace.aborted ||
-                                        result.status ==
-                                            kernel::ExecutionStatus::
-                                                kError;
-                                    if (done.aborted) {
-                                        done.error = result.error;
-                                    }
-                                });
-                            if (accepted) {
-                                submitted[index] = 1;
-                            }
+                                simulation->now(),
+                                record_reply(results.tasks, index));
                         });
                     break;
                 }
-                default:
-                    break;
             }
         }
+        const sim::Time t = injector.window_time();
         scheduler.run_until(t);
         results.provisioned_gpus.record(
             t, static_cast<double>(scheduler.total_gpus()));
         results.subscription_ratio.record(t, scheduler.cluster_sr());
-        // Every event of a session with last_event <= t has been popped
-        // and executed inside run_until, so its spec is unreferenced.
-        while (!retire.empty() && retire.top().first <= t) {
-            live.erase(retire.top().second);
-            retire.pop();
-        }
         if (t >= makespan) {
             break;
         }
@@ -815,8 +424,6 @@ run_prototype_streamed(workload::SessionSource& source,
     // Drain window for in-flight cells.
     scheduler.run_until(makespan + 12 * sim::kHour);
 
-    // Compact dropped cells, then canonicalize to (submit, session, seq)
-    // exactly as the materialized drivers do.
     std::size_t kept = 0;
     for (std::size_t i = 0; i < results.tasks.size(); ++i) {
         if (!submitted[i]) {
@@ -828,16 +435,7 @@ run_prototype_streamed(workload::SessionSource& source,
         ++kept;
     }
     results.tasks.resize(kept);
-    std::stable_sort(results.tasks.begin(), results.tasks.end(),
-                     [](const TaskOutcome& a, const TaskOutcome& b) {
-                         if (a.submit != b.submit) {
-                             return a.submit < b.submit;
-                         }
-                         if (a.session != b.session) {
-                             return a.session < b.session;
-                         }
-                         return a.seq < b.seq;
-                     });
+    sort_tasks_canonical(results.tasks);
 
     results.events = scheduler.events();
     results.sched_stats = scheduler.stats();
@@ -846,7 +444,7 @@ run_prototype_streamed(workload::SessionSource& source,
     results.read_ms = scheduler.store_read_ms();
     results.write_ms = scheduler.store_write_ms();
     results.store_bytes_written = scheduler.store_bytes_written();
-    finalize_committed_series(results);
+    finalize_tasks(results);
     return results;
 }
 
@@ -863,7 +461,10 @@ run_prototype_notebookos(const workload::Trace& trace,
     if (config.scheduler.routing == sched::RoutingPolicyKind::kStaticHash) {
         return run_prototype_sharded(trace, config);
     }
-    return run_prototype_routed(trace, config);
+    // Sessions can change shards at window boundaries, so the trace goes
+    // through the windowed driver, in (start_time, id) order.
+    workload::SortedTraceSource source(trace);
+    return run_prototype_streamed(source, config);
 }
 
 }  // namespace nbos::core

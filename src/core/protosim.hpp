@@ -18,28 +18,40 @@ namespace nbos::core {
 struct PlatformConfig;
 
 /** Run @p trace through the prototype engine under @p config.
- *  Same-seed runs are bit-identical (see tests/determinism_test.cpp). */
+ *  Same-seed runs are bit-identical (see tests/determinism_test.cpp).
+ *
+ *  Three drivers: shards == 1 runs one GlobalScheduler with every trace
+ *  event pre-scheduled (the historical monolithic engine); `static_hash`
+ *  pre-schedules each session's events on its hashed shard and steps
+ *  the shards in lockstep sampling windows; `least_loaded` and
+ *  `rebalance` stream the trace through run_prototype_streamed in
+ *  (start_time, id) order (workload::SortedTraceSource), because a
+ *  session's owner is decided at admission and may change at any window
+ *  boundary. */
 ExperimentResults run_prototype_notebookos(const workload::Trace& trace,
                                            const PlatformConfig& config);
 
 /**
  * Run a streamed injection @p source through the prototype engine's
- * windowed sharded driver without ever materializing the trace: sessions
- * are pulled as the lockstep clock reaches their start window, their
- * events enter a globally ordered injection heap, and each session's
- * specs are freed once its last trace event has executed — so memory
- * tracks the *live* session population, not the trace length.
+ * windowed sharded driver without ever materializing the trace. A
+ * WindowInjector (window_injector.hpp) pulls sessions as the lockstep
+ * clock reaches their start window and hands over each sampling window's
+ * events; each is routed to the session's current owner (starts through
+ * the routing policy's admission), the shards advance to the window end,
+ * the fleet signals are sampled, and under `rebalance` sessions move at
+ * the boundary. Specs are freed after the window holding their last
+ * event, so memory tracks the *live* session population.
  *
- * Sessions are admitted through the configured routing policy on the
- * same window grid as the routed driver; with a
- * workload::TraceSessionSource over a materialized trace, results are
- * bit-identical to run_prototype_notebookos for the `least_loaded` and
- * `rebalance` policies (pinned by determinism_test). `static_hash` also
- * runs (admission degenerates to the stable hash), but through this
- * windowed driver rather than the pre-scheduled static one.
+ * This is the driver of materialized `least_loaded` and `rebalance` runs
+ * too, so a conforming source over a trace gives the same results as
+ * run_prototype_notebookos. `static_hash` also runs (admission
+ * degenerates to the stable hash), but windowed, unlike the
+ * pre-scheduled static driver: that driver stamps a cell buffered while
+ * its kernel starts with the flush time, not its trace time.
  *
  * @throws std::invalid_argument when @p source violates its nondecreasing
- *         (start_time, id) contract or repeats a session id.
+ *         start_time contract, repeats the id of a session still held,
+ *         or config.sample_interval is not positive.
  */
 ExperimentResults run_prototype_streamed(workload::SessionSource& source,
                                          const PlatformConfig& config);

@@ -111,6 +111,39 @@ series_from_deltas(std::vector<std::pair<sim::Time, double>> deltas)
     return series;
 }
 
+void
+sort_tasks_canonical(std::vector<TaskOutcome>& tasks)
+{
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [](const TaskOutcome& a, const TaskOutcome& b) {
+                         if (a.submit != b.submit) {
+                             return a.submit < b.submit;
+                         }
+                         if (a.session != b.session) {
+                             return a.session < b.session;
+                         }
+                         return a.seq < b.seq;
+                     });
+}
+
+void
+finalize_tasks(ExperimentResults& results)
+{
+    std::vector<std::pair<sim::Time, double>> committed;
+    for (TaskOutcome& task : results.tasks) {
+        if (task.reply == 0) {
+            task.aborted = true;
+        }
+        if (task.is_gpu && !task.aborted) {
+            committed.emplace_back(task.exec_start,
+                                   static_cast<double>(task.gpus));
+            committed.emplace_back(task.exec_end,
+                                   -static_cast<double>(task.gpus));
+        }
+    }
+    results.committed_gpus = series_from_deltas(std::move(committed));
+}
+
 metrics::TimeSeries
 oracle_gpu_series(const workload::Trace& trace)
 {

@@ -108,6 +108,16 @@ struct ExperimentResults
 metrics::TimeSeries
 series_from_deltas(std::vector<std::pair<sim::Time, double>> deltas);
 
+/** Canonical task order of every sharded driver's merge: (submit,
+ *  session, seq), a total order because a session's (session, seq) pairs
+ *  are unique. */
+void sort_tasks_canonical(std::vector<TaskOutcome>& tasks);
+
+/** Shared tail of the NotebookOS engines: tasks that never saw a reply
+ *  are aborted, and committed_gpus is rebuilt from the completed GPU
+ *  tasks' execution intervals. */
+void finalize_tasks(ExperimentResults& results);
+
 /** Oracle provisioning: exactly the GPUs demanded by running tasks. */
 metrics::TimeSeries oracle_gpu_series(const workload::Trace& trace);
 

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
-#include <limits>
-#include <map>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,6 +11,7 @@
 
 #include "core/fastsim_engine.hpp"
 #include "core/platform.hpp"
+#include "core/window_injector.hpp"
 #include "sched/routing.hpp"
 #include "sched/shard_router.hpp"
 #include "sim/shard_team.hpp"
@@ -21,24 +19,6 @@
 namespace nbos::core {
 
 namespace {
-
-/** Rebuild the committed-GPU step series from the merged task outcomes —
- *  the same tail FastEngineShard::finalize applies per shard, re-run over
- *  the canonical cross-shard task order. */
-metrics::TimeSeries
-committed_series(const std::vector<TaskOutcome>& tasks)
-{
-    std::vector<std::pair<sim::Time, double>> committed;
-    for (const TaskOutcome& task : tasks) {
-        if (task.is_gpu && !task.aborted) {
-            committed.emplace_back(task.exec_start,
-                                   static_cast<double>(task.gpus));
-            committed.emplace_back(task.exec_end,
-                                   -static_cast<double>(task.gpus));
-        }
-    }
-    return series_from_deltas(std::move(committed));
-}
 
 /** Shard-order base plans: the trace metadata, the round-robin split of
  *  the initial fleet (shares differ by at most one server), and the
@@ -89,31 +69,50 @@ window_team(ShardList& shards, std::vector<double>& busy, bool parallel)
         });
 }
 
-/** Trace-event kinds of the windowed injection paths; the numeric order
- *  at equal times mirrors schedule_workload's per-session order (start,
- *  end, tasks). */
-enum InjectionKind : std::int32_t
+/** `least_loaded` admission: each session goes to the shard with the
+ *  least accumulated task weight (ties: fewest sessions, then lowest
+ *  index). */
+class WeightedAdmission
 {
-    kStart = 0,
-    kEnd = 1,
-    kTask = 2,
+  public:
+    explicit WeightedAdmission(std::int32_t count)
+        : weight_(static_cast<std::size_t>(count), 0),
+          assigned_(static_cast<std::size_t>(count), 0)
+    {
+    }
+
+    std::size_t admit(const workload::SessionSpec& spec)
+    {
+        std::size_t pick = 0;
+        for (std::size_t i = 1; i < weight_.size(); ++i) {
+            if (weight_[i] < weight_[pick] ||
+                (weight_[i] == weight_[pick] &&
+                 assigned_[i] < assigned_[pick])) {
+                pick = i;
+            }
+        }
+        weight_[pick] += spec.tasks.size() + 1;
+        assigned_[pick] += 1;
+        return pick;
+    }
+
+  private:
+    std::vector<std::uint64_t> weight_;
+    std::vector<std::int64_t> assigned_;
 };
 
 void
-inject(FastEngineShard& owner, std::int32_t kind,
-       const workload::SessionSpec* sp, const workload::CellTask* task)
+inject(FastEngineShard& owner, const WindowEvent& event)
 {
-    switch (kind) {
-        case kStart:
-            owner.inject_session_start(sp);
+    switch (event.kind) {
+        case WindowEvent::Kind::kStart:
+            owner.inject_session_start(event.session);
             break;
-        case kEnd:
-            owner.inject_session_end(sp);
+        case WindowEvent::Kind::kEnd:
+            owner.inject_session_end(event.session);
             break;
-        case kTask:
-            owner.inject_task(sp, task);
-            break;
-        default:
+        case WindowEvent::Kind::kTask:
+            owner.inject_task(event.session, event.task);
             break;
     }
 }
@@ -167,24 +166,13 @@ merge_shards(ShardList& shards, const std::string& trace_name,
     results.trace_name = trace_name;
     results.makespan = makespan;
 
-    // Tasks: concatenate in shard order, then canonicalize to
-    // (submit, session, seq) — a total order because a session's
-    // (session, seq) pairs are unique.
+    // Tasks: concatenate in shard order, then canonicalize.
     results.tasks.reserve(total_tasks);
     for (ExperimentResults& shard_results : per_shard) {
         std::move(shard_results.tasks.begin(), shard_results.tasks.end(),
                   std::back_inserter(results.tasks));
     }
-    std::stable_sort(results.tasks.begin(), results.tasks.end(),
-                     [](const TaskOutcome& a, const TaskOutcome& b) {
-                         if (a.submit != b.submit) {
-                             return a.submit < b.submit;
-                         }
-                         if (a.session != b.session) {
-                             return a.session < b.session;
-                         }
-                         return a.seq < b.seq;
-                     });
+    sort_tasks_canonical(results.tasks);
 
     std::vector<std::vector<sched::SchedulerEvent>> shard_events;
     shard_events.reserve(per_shard.size());
@@ -255,7 +243,7 @@ merge_shards(ShardList& shards, const std::string& trace_name,
             shards.front()->tick_samples()[k].time, ratio);
     }
 
-    results.committed_gpus = committed_series(results.tasks);
+    finalize_tasks(results);
     return results;
 }
 
@@ -295,137 +283,31 @@ ShardedFastSim::run()
         return results;
     }
 
+    if (config_.scheduler.routing == sched::RoutingPolicyKind::kRebalance) {
+        // Sessions can change shards at window boundaries, so the trace
+        // goes through the windowed driver, in (start_time, id) order.
+        workload::SortedTraceSource source(trace_);
+        StreamedFastRun run = run_fast_streamed(source, config_);
+        events_executed_ = run.events_executed;
+        shard_events_ = std::move(run.shard_events);
+        shard_busy_seconds_ = std::move(run.shard_busy_seconds);
+        sessions_rebalanced_ = run.sessions_rebalanced;
+        return std::move(run.results);
+    }
+
     std::vector<FastShardPlan> plans =
         base_plans(trace_.name, trace_.makespan, config_, count);
     const sim::Time horizon = trace_.makespan + 12 * sim::kHour;
     shard_busy_seconds_.assign(static_cast<std::size_t>(count), 0.0);
 
-    if (config_.scheduler.routing == sched::RoutingPolicyKind::kRebalance) {
-        // ---- Windowed rebalance path -------------------------------
-        //
-        // Sessions are admitted by the stable hash, but trace events are
-        // injected one lockstep window at a time into the session's
-        // *current* owner, and sched::plan_rebalance moves whole
-        // sessions between shards at the autoscale-grid boundaries. The
-        // plan is a pure function of the shard-order-merged window
-        // loads, so parallel windows stay bit-identical to serial ones.
-        for (FastShardPlan& plan : plans) {
-            plan.windowed = true;
-        }
-        ShardList shards;
-        shards.reserve(plans.size());
-        for (FastShardPlan& plan : plans) {
-            shards.push_back(
-                std::make_unique<FastEngineShard>(std::move(plan),
-                                                  config_));
-        }
-        for (const auto& shard : shards) {
-            shard->start();
-        }
-
-        // One globally sorted injection list in (time, id, kind) order.
-        struct Injection
-        {
-            sim::Time time;
-            const workload::SessionSpec* sp;
-            std::int32_t kind;
-            const workload::CellTask* task;
-        };
-        std::vector<Injection> injections;
-        std::size_t total_tasks = 0;
-        for (const workload::SessionSpec& session : trace_.sessions) {
-            total_tasks += session.tasks.size();
-        }
-        injections.reserve(trace_.sessions.size() * 2 + total_tasks);
-        for (const workload::SessionSpec& session : trace_.sessions) {
-            const workload::SessionSpec* sp = &session;
-            injections.push_back(
-                Injection{session.start_time, sp, kStart, nullptr});
-            if (session.end_time < trace_.makespan) {
-                injections.push_back(
-                    Injection{session.end_time, sp, kEnd, nullptr});
-            }
-            for (const workload::CellTask& task : session.tasks) {
-                injections.push_back(
-                    Injection{task.submit_time, sp, kTask, &task});
-            }
-        }
-        std::stable_sort(injections.begin(), injections.end(),
-                         [](const Injection& a, const Injection& b) {
-                             if (a.time != b.time) {
-                                 return a.time < b.time;
-                             }
-                             if (a.sp->id != b.sp->id) {
-                                 return a.sp->id < b.sp->id;
-                             }
-                             return a.kind < b.kind;
-                         });
-
-        sim::ShardTeam team = window_team(
-            shards, shard_busy_seconds_, config_.scheduler.shard_parallel);
-        sched::RoutingTable table(count);
-        std::vector<std::uint64_t> window_events(shards.size(), 0);
-        std::size_t cursor = 0;
-        for (sim::Time t = 0;; t += config_.scheduler.autoscale_interval) {
-            while (cursor < injections.size() &&
-                   injections[cursor].time <= t) {
-                const Injection& inj = injections[cursor++];
-                inject(*shards[table.shard_of(inj.sp->id)], inj.kind,
-                       inj.sp, inj.task);
-            }
-            team.run(t);
-            if (t >= trace_.makespan) {
-                break;
-            }
-            sessions_rebalanced_ +=
-                rebalance_boundary(shards, table, window_events);
-        }
-        // Drain window for in-flight cells.
-        team.run(horizon);
-
-        events_executed_ = 0;
-        shard_events_.clear();
-        for (const auto& shard : shards) {
-            shard_events_.push_back(shard->events_executed());
-            events_executed_ += shard->events_executed();
-        }
-        return merge_shards(shards, trace_.name, trace_.makespan, config_);
-    }
-
     if (config_.scheduler.routing ==
         sched::RoutingPolicyKind::kLeastLoaded) {
-        // Admission-time partition: visit sessions in (start_time, id)
-        // order — the order a live admission controller would see them —
-        // and assign each to the shard with the least accumulated task
-        // weight (ties: fewest sessions, then lowest index). The rest of
-        // the run uses the same static machinery as the hash path.
-        std::vector<const workload::SessionSpec*> order;
-        order.reserve(trace_.sessions.size());
-        for (const workload::SessionSpec& session : trace_.sessions) {
-            order.push_back(&session);
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [](const workload::SessionSpec* a,
-                            const workload::SessionSpec* b) {
-                             if (a->start_time != b->start_time) {
-                                 return a->start_time < b->start_time;
-                             }
-                             return a->id < b->id;
-                         });
-        std::vector<std::uint64_t> weight(plans.size(), 0);
-        std::vector<std::int64_t> assigned(plans.size(), 0);
-        for (const workload::SessionSpec* sp : order) {
-            std::size_t pick = 0;
-            for (std::size_t i = 1; i < plans.size(); ++i) {
-                if (weight[i] < weight[pick] ||
-                    (weight[i] == weight[pick] &&
-                     assigned[i] < assigned[pick])) {
-                    pick = i;
-                }
-            }
-            plans[pick].sessions.push_back(sp);
-            weight[pick] += sp->tasks.size() + 1;
-            assigned[pick] += 1;
+        // Admission-time partition in the order a live admission
+        // controller would see the sessions; the rest of the run uses the
+        // same static machinery as the hash path.
+        WeightedAdmission admission(count);
+        for (const workload::SessionSpec* sp : trace_.sessions_by_start()) {
+            plans[admission.admit(*sp)].sessions.push_back(sp);
         }
     } else {
         // Static-hash partition, kept verbatim: the stable session-id
@@ -479,20 +361,28 @@ run_fast_streamed(workload::SessionSource& source,
         throw std::invalid_argument("scheduler.shards must be >= 1");
     }
 
-    const std::string trace_name = source.trace_name();
-    const sim::Time makespan = source.makespan();
-    const sim::Time horizon = makespan + 12 * sim::kHour;
     const bool rebalancing =
         config.scheduler.routing == sched::RoutingPolicyKind::kRebalance;
-    const bool least_loaded =
-        config.scheduler.routing == sched::RoutingPolicyKind::kLeastLoaded;
+    sched::RoutingTable table(count);
+    WeightedAdmission admission(count);
+    WindowInjector::AdmitFn admit;
+    if (config.scheduler.routing == sched::RoutingPolicyKind::kLeastLoaded) {
+        // The same pick ShardedFastSim applies to the (start_time,
+        // id)-sorted materialized trace — which is exactly the order a
+        // conforming source streams in.
+        admit = [&table, &admission](const workload::SessionSpec& spec) {
+            table.assign(spec.id,
+                         static_cast<std::int32_t>(admission.admit(spec)));
+        };
+    }
+    WindowInjector injector(source, config.scheduler.autoscale_interval,
+                            std::move(admit));
 
+    const std::string trace_name = source.trace_name();
+    const sim::Time makespan = source.makespan();
     StreamedFastRun out;
     out.shard_busy_seconds.assign(static_cast<std::size_t>(count), 0.0);
 
-    // Every policy streams through the windowed engine: events are
-    // injected window by window into the session's current owner, exactly
-    // as ShardedFastSim's rebalance path does for materialized traces.
     std::vector<FastShardPlan> plans =
         base_plans(trace_name, makespan, config, count);
     for (FastShardPlan& plan : plans) {
@@ -508,127 +398,18 @@ run_fast_streamed(workload::SessionSource& source,
         shard->start();
     }
 
-    struct Injection
-    {
-        sim::Time time;
-        const workload::SessionSpec* sp;
-        std::int32_t kind;
-        const workload::CellTask* task;
-        std::uint64_t seq;
-    };
-    // Min-heap in the materialized driver's injection order (time, id,
-    // kind); the insertion sequence breaks the one remaining tie
-    // (same-session same-tick tasks) the way stable_sort does.
-    struct InjectionAfter
-    {
-        bool operator()(const Injection& a, const Injection& b) const
-        {
-            if (a.time != b.time) {
-                return a.time > b.time;
-            }
-            if (a.sp->id != b.sp->id) {
-                return a.sp->id > b.sp->id;
-            }
-            if (a.kind != b.kind) {
-                return a.kind > b.kind;
-            }
-            return a.seq > b.seq;
-        }
-    };
-    std::priority_queue<Injection, std::vector<Injection>, InjectionAfter>
-        injections;
-    std::uint64_t next_seq = 0;
-
-    // Live specs stay pinned (map nodes are stable) until their last
-    // trace event has executed; memory tracks the concurrent-session
-    // population, not the trace length.
-    struct LiveSession
-    {
-        workload::SessionSpec spec;
-        sim::Time last_event = 0;
-    };
-    std::map<workload::SessionId, LiveSession> live;
-    using Retire = std::pair<sim::Time, workload::SessionId>;
-    std::priority_queue<Retire, std::vector<Retire>, std::greater<Retire>>
-        retire;
-
-    sched::RoutingTable table(count);
-    std::vector<std::uint64_t> weight(static_cast<std::size_t>(count), 0);
-    std::vector<std::int64_t> assigned(static_cast<std::size_t>(count), 0);
-
-    sim::Time last_start = std::numeric_limits<sim::Time>::min();
-    const auto admit_one = [&](workload::SessionSpec&& incoming) {
-        if (incoming.start_time < last_start) {
-            throw std::invalid_argument(
-                "streamed session source is not sorted by start time");
-        }
-        last_start = incoming.start_time;
-        const auto [it, inserted] =
-            live.emplace(incoming.id, LiveSession{std::move(incoming), 0});
-        if (!inserted) {
-            throw std::invalid_argument(
-                "streamed session source repeated session id " +
-                std::to_string(it->first));
-        }
-        const workload::SessionSpec* sp = &it->second.spec;
-        if (least_loaded) {
-            // The same running-weight pick ShardedFastSim applies to the
-            // (start_time, id)-sorted materialized trace — which is
-            // exactly the order a conforming source streams in.
-            std::size_t pick = 0;
-            for (std::size_t i = 1; i < weight.size(); ++i) {
-                if (weight[i] < weight[pick] ||
-                    (weight[i] == weight[pick] &&
-                     assigned[i] < assigned[pick])) {
-                    pick = i;
-                }
-            }
-            table.assign(sp->id, static_cast<std::int32_t>(pick));
-            weight[pick] += sp->tasks.size() + 1;
-            assigned[pick] += 1;
-        }
-        sim::Time last_event = sp->start_time;
-        injections.push(Injection{sp->start_time, sp, kStart, nullptr,
-                                  next_seq++});
-        if (sp->end_time < makespan) {
-            injections.push(
-                Injection{sp->end_time, sp, kEnd, nullptr, next_seq++});
-            last_event = std::max(last_event, sp->end_time);
-        }
-        for (const workload::CellTask& task : sp->tasks) {
-            injections.push(Injection{task.submit_time, sp, kTask, &task,
-                                      next_seq++});
-            last_event = std::max(last_event, task.submit_time);
-        }
-        it->second.last_event = last_event;
-        retire.push(Retire{last_event, sp->id});
-    };
-
+    // Lockstep windows on the autoscale grid: inject the window's events
+    // into their current owners, advance every shard, then let the
+    // policy move sessions before the next window is routed.
     sim::ShardTeam team = window_team(shards, out.shard_busy_seconds,
                                       config.scheduler.shard_parallel);
     std::vector<std::uint64_t> window_events(shards.size(), 0);
-    workload::SessionSpec pending;
-    bool has_pending = source.next(pending);
-    for (sim::Time t = 0;; t += config.scheduler.autoscale_interval) {
-        while (has_pending && pending.start_time <= t) {
-            workload::SessionSpec spec = std::move(pending);
-            has_pending = source.next(pending);
-            admit_one(std::move(spec));
+    for (;;) {
+        for (const WindowEvent& event : injector.next_window()) {
+            inject(*shards[table.shard_of(event.session->id)], event);
         }
-        while (!injections.empty() && injections.top().time <= t) {
-            const Injection inj = injections.top();
-            injections.pop();
-            inject(*shards[table.shard_of(inj.sp->id)], inj.kind, inj.sp,
-                   inj.task);
-        }
+        const sim::Time t = injector.window_time();
         team.run(t);
-        // Every event of a session with last_event <= t has been injected
-        // and executed inside team.run, so its spec is unreferenced
-        // (in-flight engine work holds copies, not trace pointers).
-        while (!retire.empty() && retire.top().first <= t) {
-            live.erase(retire.top().second);
-            retire.pop();
-        }
         if (t >= makespan) {
             break;
         }
@@ -638,9 +419,8 @@ run_fast_streamed(workload::SessionSource& source,
         }
     }
     // Drain window for in-flight cells.
-    team.run(horizon);
+    team.run(makespan + 12 * sim::kHour);
 
-    out.events_executed = 0;
     for (const auto& shard : shards) {
         out.shard_events.push_back(shard->events_executed());
         out.events_executed += shard->events_executed();

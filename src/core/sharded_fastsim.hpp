@@ -13,12 +13,13 @@
  *    (start_time, id) order to the shard with the least accumulated task
  *    weight, then run on the same static machinery.
  *  - `rebalance`: hash admission plus deterministic window-boundary
- *    whole-session migration. Shards advance in lockstep windows on the
- *    autoscale_interval grid; at each boundary the driver merges
- *    per-shard loads in shard order, plans migrations with
- *    sched::plan_rebalance (a pure function of the merged stats), and
- *    moves the chosen sessions before injecting the next window's trace
- *    events into their current owners.
+ *    whole-session migration, run by run_fast_streamed over the trace in
+ *    (start_time, id) order (workload::SortedTraceSource). Shards advance
+ *    in lockstep windows on the autoscale_interval grid; at each boundary
+ *    the driver merges per-shard loads in shard order, plans migrations
+ *    with sched::plan_rebalance (a pure function of the merged stats),
+ *    and moves the chosen sessions before injecting the next window's
+ *    trace events into their current owners.
  *
  * Each shard runs the full analytic model over its slice on its own
  * event loop (FastEngineShard), and the driver merges the per-shard
@@ -29,7 +30,9 @@
  *    SchedulerConfig::shard_parallel off runs the same bodies serially),
  *    and
  *  - shards == 1 is byte-identical to the pre-sharding monolithic fast
- *    path (single shard, full trace, caller's seed, timeline recording).
+ *    path (single shard, full trace, caller's seed, timeline recording)
+ *    under every routing policy. It stays pre-scheduled: the windowed
+ *    driver gives different results on one shard, and is slower.
  *
  * This is the scale path of ROADMAP open items 1 and 2:
  * bench/scale_sessions.cpp drives it to >= 1M sessions at shards
@@ -68,24 +71,24 @@ struct StreamedFastRun
 
 /**
  * Drive the sharded fast engine from a streamed injection @p source
- * without materializing the trace: sessions are pulled as the lockstep
- * window grid reaches their start time, admitted through the configured
- * routing policy (`static_hash` / `rebalance`: the stable hash;
- * `least_loaded`: running-weight admission in arrival order), their
- * events injected into the current owner window by window, and their
- * specs freed once the last trace event has executed — memory tracks the
- * live session population, not the trace length (pinned by the
- * scale_profiles bench).
+ * without materializing the trace. A WindowInjector (window_injector.hpp)
+ * pulls sessions as the autoscale_interval grid reaches their start time
+ * and admits them through the configured routing policy (`static_hash` /
+ * `rebalance`: the stable hash; `least_loaded`: running-weight admission
+ * in arrival order); each window's events go to the session's current
+ * owner, and specs are freed after the window holding their last event —
+ * memory tracks the live session population, not the trace length
+ * (pinned by the scale_profiles bench).
  *
- * Every policy runs the windowed engine (FastShardPlan::windowed). Under
- * `rebalance` this is the exact materialized windowed path, so a
- * workload::TraceSessionSource over a materialized trace is bit-identical
- * to ShardedFastSim::run (pinned by determinism_test); the other policies
- * are deterministic but windowed, unlike their pre-scheduled
- * ShardedFastSim counterparts.
+ * Every policy runs the windowed engine (FastShardPlan::windowed). This
+ * is the driver of ShardedFastSim's multi-shard `rebalance` runs, so a
+ * conforming source over a trace gives the same results as
+ * ShardedFastSim::run there; the other policies are deterministic but
+ * windowed, unlike their pre-scheduled ShardedFastSim counterparts.
  *
  * @throws std::invalid_argument when @p source violates its nondecreasing
- *         (start_time, id) contract or repeats a session id.
+ *         start_time contract, repeats the id of a session still held,
+ *         or config.scheduler.autoscale_interval is not positive.
  */
 StreamedFastRun run_fast_streamed(workload::SessionSource& source,
                                   const PlatformConfig& config);

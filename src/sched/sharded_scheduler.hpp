@@ -107,12 +107,13 @@ class ShardedGlobalScheduler
 
     /** @name Session-addressed API + rebalancing (routing layer)
      *
-     * The routed windowed driver (protosim.cpp, non-static policies)
-     * addresses everything by session id; shards own the session ->
-     * kernel bindings so whole sessions can move. admit_session and
-     * rebalance_window mutate the routing table and therefore run only
-     * on the driving thread between lockstep windows; the per-session
-     * calls follow the same thread contract as the routed API above.
+     * The windowed driver (run_prototype_streamed in protosim.cpp, which
+     * runs every non-static policy) addresses everything by session id;
+     * shards own the session -> kernel bindings so whole sessions can
+     * move. admit_session and rebalance_window mutate the routing table
+     * and therefore run only on the driving thread between lockstep
+     * windows; the per-session calls follow the same thread contract as
+     * the routed API above.
      */
     ///@{
     /** Route a new session via the policy, record the assignment, and

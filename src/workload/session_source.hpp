@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "sim/time.hpp"
 #include "workload/trace.hpp"
@@ -60,6 +61,36 @@ class TraceSessionSource final : public SessionSource
 
   private:
     const Trace& trace_;
+    std::size_t next_ = 0;
+};
+
+/** Adapter streaming a materialized trace in Trace::sessions_by_start
+ *  order whatever its session order, so any trace meets the
+ *  SessionSource contract. The engines' materialized routed
+ *  runs use it to drive their windowed drivers. */
+class SortedTraceSource final : public SessionSource
+{
+  public:
+    explicit SortedTraceSource(const Trace& trace)
+        : trace_(trace), order_(trace.sessions_by_start())
+    {
+    }
+
+    const std::string& trace_name() const override { return trace_.name; }
+    sim::Time makespan() const override { return trace_.makespan; }
+
+    bool next(SessionSpec& out) override
+    {
+        if (next_ >= order_.size()) {
+            return false;
+        }
+        out = *order_[next_++];
+        return true;
+    }
+
+  private:
+    const Trace& trace_;
+    std::vector<const SessionSpec*> order_;
     std::size_t next_ = 0;
 };
 

@@ -37,6 +37,24 @@ Trace::tasks_by_submit_time() const
     return tasks;
 }
 
+std::vector<const SessionSpec*>
+Trace::sessions_by_start() const
+{
+    std::vector<const SessionSpec*> order;
+    order.reserve(sessions.size());
+    for (const SessionSpec& session : sessions) {
+        order.push_back(&session);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const SessionSpec* a, const SessionSpec* b) {
+                         if (a->start_time != b->start_time) {
+                             return a->start_time < b->start_time;
+                         }
+                         return a->id < b->id;
+                     });
+    return order;
+}
+
 metrics::Percentiles
 Trace::durations_seconds() const
 {

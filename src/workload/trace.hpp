@@ -63,6 +63,10 @@ struct Trace
     /** Pointers to every task ordered by submission time. */
     std::vector<const CellTask*> tasks_by_submit_time() const;
 
+    /** Pointers to every session in (start_time, id) order, the order an
+     *  admission controller sees them (ties keep trace order). */
+    std::vector<const SessionSpec*> sessions_by_start() const;
+
     /** Task durations in seconds (Fig. 2a). */
     metrics::Percentiles durations_seconds() const;
 

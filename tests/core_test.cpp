@@ -462,5 +462,66 @@ TEST(StreamedDriverErrorTest, BadSourcesThrowWithShardHelpersAlive)
     }
 }
 
+/** A trace source that counts the sessions pulled from it. */
+class CountingSource final : public workload::SessionSource
+{
+  public:
+    explicit CountingSource(const workload::Trace& trace) : inner_(trace) {}
+
+    const std::string& trace_name() const override
+    {
+        return inner_.trace_name();
+    }
+    sim::Time makespan() const override { return inner_.makespan(); }
+    bool next(workload::SessionSpec& out) override
+    {
+        ++pulled;
+        return inner_.next(out);
+    }
+
+    int pulled = 0;
+
+  private:
+    workload::TraceSessionSource inner_;
+};
+
+/** A non-positive window interval used to hang the windowed drivers
+ *  (t += 0) and the fast engine's autoscaler tick. Platform::run rejects
+ *  it by name; the streamed drivers, which callers may reach without
+ *  validation, throw before pulling a single session. */
+TEST(StreamedDriverErrorTest, NonPositiveWindowIntervalThrowsBeforeRunning)
+{
+    const workload::Trace trace = tiny_trace(4, kHour);
+    for (const sim::Time interval : {sim::Time{0}, -kSecond}) {
+        for (const bool fast : {true, false}) {
+            SCOPED_TRACE(fast ? "fast" : "prototype");
+            PlatformConfig config =
+                test::platform_config(Policy::kNotebookOS, /*seed=*/5, fast);
+            config.scheduler.shards = 2;
+            config.scheduler.autoscale_interval = interval;
+            EXPECT_EQ(invalid_argument_from(
+                          [&] { Platform(config).run(trace); }),
+                      "PlatformConfig: scheduler.autoscale_interval must "
+                      "be positive");
+
+            // The prototype's windows follow sample_interval.
+            if (!fast) {
+                config.scheduler.autoscale_interval = 30 * kSecond;
+                config.sample_interval = interval;
+            }
+            CountingSource source(trace);
+            EXPECT_EQ(invalid_argument_from([&] {
+                          if (fast) {
+                              run_fast_streamed(source, config);
+                          } else {
+                              run_prototype_streamed(source, config);
+                          }
+                      }),
+                      "window interval must be positive");
+            EXPECT_EQ(source.pulled, 0);
+        }
+    }
+}
+
 }  // namespace
 }  // namespace nbos::core

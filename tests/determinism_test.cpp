@@ -704,9 +704,11 @@ TEST(ProfileDeterminismTest, StreamedGenerateMatchesMaterializedSave)
     }
 }
 
-/** The prototype engine's streamed driver is bit-identical to the
- *  materialized routed drivers when fed the same trace through
- *  TraceSessionSource, for both non-static routing policies. */
+/** A materialized routed prototype run streams the trace through the
+ *  windowed driver in (start_time, id) order; feeding the same sorted
+ *  trace through TraceSessionSource must give the same results, for
+ *  both non-static routing policies. MaterializedRoutedRunsMatchGolden-
+ *  Digests pins the output itself. */
 TEST(ProfileDeterminismTest, PrototypeStreamedMatchesMaterializedRouted)
 {
     const auto trace = test::tiny_trace(8, 2 * sim::kHour);
@@ -731,8 +733,7 @@ TEST(ProfileDeterminismTest, PrototypeStreamedMatchesMaterializedRouted)
     }
 }
 
-/** Same pin for the sharded fast engine: the streamed driver under
- *  rebalance routing matches the materialized run bit-for-bit, with
+/** Same check for the sharded fast engine under rebalance routing, with
  *  shard threads on or off. */
 TEST(ProfileDeterminismTest, FastStreamedMatchesMaterializedRebalance)
 {
@@ -754,6 +755,57 @@ TEST(ProfileDeterminismTest, FastStreamedMatchesMaterializedRebalance)
     test::expect_results_identical(serial.results, parallel.results);
     EXPECT_EQ(parallel.events_executed, serial.events_executed);
     EXPECT_EQ(parallel.sessions_rebalanced, serial.sessions_rebalanced);
+}
+
+/** Materialized routed runs of both engines are pinned to digests
+ *  captured from the dedicated materialized routed drivers, which built
+ *  one stable-sorted injection list over the whole trace. Materialized
+ *  runs now stream through the window injector, so these goldens are
+ *  what keeps the old drivers' output fixed. The reversed traces feed
+ *  sessions out of (start_time, id) order. */
+TEST(ProfileDeterminismTest, MaterializedRoutedRunsMatchGoldenDigests)
+{
+    const auto reversed = [](workload::Trace trace) {
+        std::reverse(trace.sessions.begin(), trace.sessions.end());
+        return trace;
+    };
+    const auto proto_trace = test::tiny_trace(8, 2 * sim::kHour);
+    const auto fast_trace = test::tiny_trace(16, 3 * sim::kHour);
+    struct Golden
+    {
+        const char* name;
+        const workload::Trace* trace;
+        bool fast;
+        std::int32_t shards;
+        sched::RoutingPolicyKind routing;
+        std::uint64_t digest;
+    };
+    const workload::Trace proto_reversed = reversed(proto_trace);
+    const workload::Trace fast_reversed = reversed(fast_trace);
+    const Golden goldens[] = {
+        {"prototype least_loaded", &proto_trace, false, 3,
+         sched::RoutingPolicyKind::kLeastLoaded, 0xa2d03fa30c3193faULL},
+        {"prototype rebalance", &proto_trace, false, 3,
+         sched::RoutingPolicyKind::kRebalance, 0x57e0f7868f5df323ULL},
+        {"prototype rebalance reversed", &proto_reversed, false, 3,
+         sched::RoutingPolicyKind::kRebalance, 0x57e0f7868f5df323ULL},
+        {"fast least_loaded", &fast_trace, true, 4,
+         sched::RoutingPolicyKind::kLeastLoaded, 0xfa644da913f9f984ULL},
+        {"fast rebalance", &fast_trace, true, 4,
+         sched::RoutingPolicyKind::kRebalance, 0x9d6f54a929a6b184ULL},
+        {"fast rebalance reversed", &fast_reversed, true, 4,
+         sched::RoutingPolicyKind::kRebalance, 0x9d6f54a929a6b184ULL},
+    };
+    for (const Golden& golden : goldens) {
+        SCOPED_TRACE(golden.name);
+        core::PlatformConfig config = test::platform_config(
+            core::Policy::kNotebookOS, /*seed=*/21, golden.fast);
+        config.scheduler.shards = golden.shards;
+        config.scheduler.routing = golden.routing;
+        const auto results = core::Platform(config).run(*golden.trace);
+        EXPECT_EQ(test::results_digest(results), golden.digest)
+            << std::hex << "0x" << test::results_digest(results);
+    }
 }
 
 /** Streamed profile runs keep the same-seed contract end to end: two
@@ -780,6 +832,54 @@ TEST(ProfileDeterminismTest, FastStreamedProfileRunSameSeedBitIdentical)
     test::expect_results_identical(a.results, b.results);
     EXPECT_EQ(a.events_executed, b.events_executed);
     EXPECT_GT(a.results.tasks.size(), 0u);
+}
+
+/** Both streamed drivers under every routing policy, pinned to digests
+ *  captured from the heap-ordered injection drivers: the fast engine over
+ *  a flash-crowd profile stream, the prototype over a trace source. */
+TEST(ProfileDeterminismTest, StreamedRunsMatchGoldenDigests)
+{
+    workload::GeneratorOptions options;
+    options.makespan = 2 * sim::kHour;
+    options.max_sessions = 24;
+    options.arrival_rate_scale = 4.0;
+    const auto profile = workload::ProfileRegistry::instance().create(
+        workload::kProfileFlashCrowd);
+    ASSERT_NE(profile, nullptr);
+    const auto trace = test::tiny_trace(8, 2 * sim::kHour);
+    struct Golden
+    {
+        bool fast;
+        sched::RoutingPolicyKind routing;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {true, sched::RoutingPolicyKind::kStaticHash, 0x810b6006319c064cULL},
+        {true, sched::RoutingPolicyKind::kLeastLoaded, 0xbd2cb906b8345e8dULL},
+        {true, sched::RoutingPolicyKind::kRebalance, 0x810b6006319c064cULL},
+        {false, sched::RoutingPolicyKind::kStaticHash, 0xce016177bae5e189ULL},
+        {false, sched::RoutingPolicyKind::kLeastLoaded, 0x3e2f30ba7ff1e3f7ULL},
+        {false, sched::RoutingPolicyKind::kRebalance, 0xe67cd257e05633e7ULL},
+    };
+    for (const Golden& golden : goldens) {
+        SCOPED_TRACE(std::string(golden.fast ? "fast " : "prototype ") +
+                     sched::to_string(golden.routing));
+        core::PlatformConfig config = test::platform_config(
+            core::Policy::kNotebookOS, /*seed=*/33, golden.fast);
+        config.scheduler.shards = 3;
+        config.scheduler.routing = golden.routing;
+        std::uint64_t digest = 0;
+        if (golden.fast) {
+            const auto source = profile->open(/*seed=*/33, options);
+            digest = test::results_digest(
+                core::run_fast_streamed(*source, config).results);
+        } else {
+            workload::TraceSessionSource source(trace);
+            digest = test::results_digest(
+                core::run_prototype_streamed(source, config));
+        }
+        EXPECT_EQ(digest, golden.digest) << std::hex << "0x" << digest;
+    }
 }
 
 /** The hierarchical timer wheel is a pure staging structure: a full

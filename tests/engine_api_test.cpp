@@ -93,6 +93,36 @@ TEST(RunRequestValidationTest, InvalidConfigKeepsThePlatformMessage)
     EXPECT_NO_THROW(run(request));
 }
 
+/** A non-positive autoscale interval would re-arm the autoscaler tick at
+ *  the same instant forever and stall every window grid on it. It is a
+ *  named config error, raised before any engine starts, for both
+ *  NotebookOS engines and both input kinds. */
+TEST(RunRequestValidationTest, NonPositiveAutoscaleIntervalIsRejected)
+{
+    const auto trace = test::tiny_trace();
+    for (const sim::Time interval : {sim::Time{0}, -sim::kSecond}) {
+        for (const char* engine : {kEngineFast, kEnginePrototype}) {
+            for (const bool streamed : {false, true}) {
+                SCOPED_TRACE(std::string(engine) +
+                             (streamed ? " streamed" : " materialized"));
+                workload::TraceSessionSource source(trace);
+                RunRequest request;
+                request.engine = engine;
+                if (streamed) {
+                    request.source = &source;
+                } else {
+                    request.trace = &trace;
+                }
+                request.config.scheduler.shards = 2;
+                request.config.scheduler.autoscale_interval = interval;
+                EXPECT_EQ(run_error(request),
+                          "PlatformConfig: scheduler.autoscale_interval "
+                          "must be positive");
+            }
+        }
+    }
+}
+
 TEST(RunRequestValidationTest, OnlyNotebookEnginesStream)
 {
     const auto trace = test::tiny_trace();

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -238,6 +239,70 @@ expect_results_identical(const core::ExperimentResults& a,
     EXPECT_EQ(a.sched_stats.gpu_executions, b.sched_stats.gpu_executions);
     EXPECT_EQ(a.sched_stats.executions_completed,
               b.sched_stats.executions_completed);
+}
+
+/** FNV-1a fingerprint of one run's deterministic output: every task
+ *  outcome, every scheduler event, the three timelines (value bits),
+ *  and the scheduler and network counters. Golden digests pin the
+ *  output of a driver that no longer exists to compare against. */
+inline std::uint64_t
+results_digest(const core::ExperimentResults& results)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto add = [&hash](auto value) {
+        std::uint64_t bits = 0;
+        static_assert(sizeof(value) <= sizeof(bits));
+        std::memcpy(&bits, &value, sizeof(value));
+        for (std::size_t i = 0; i < sizeof(value); ++i) {
+            hash ^= (bits >> (8 * i)) & 0xffu;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    add(results.makespan);
+    add(results.tasks.size());
+    for (const core::TaskOutcome& task : results.tasks) {
+        add(task.session);
+        add(task.seq);
+        add(task.is_gpu);
+        add(task.gpus);
+        add(task.submit);
+        add(task.exec_start);
+        add(task.exec_end);
+        add(task.reply);
+        add(task.migrated);
+        add(task.aborted);
+    }
+    add(results.events.size());
+    for (const sched::SchedulerEvent& event : results.events) {
+        add(static_cast<std::int32_t>(event.kind));
+        add(event.time);
+    }
+    for (const metrics::TimeSeries* series :
+         {&results.provisioned_gpus, &results.committed_gpus,
+          &results.subscription_ratio}) {
+        add(series->size());
+        for (const auto& sample : series->samples()) {
+            add(sample.time);
+            add(sample.value);
+        }
+    }
+    const sched::SchedulerStats& s = results.sched_stats;
+    for (const std::uint64_t counter :
+         {s.kernels_created, s.executions_completed, s.executions_aborted,
+          s.elections_failed, s.migrations, s.migrations_aborted,
+          s.scale_outs, s.scale_ins, s.yield_conversions,
+          s.immediate_commits, s.executor_reuses, s.gpu_executions,
+          s.prewarm_hits, s.cold_starts, s.replica_failovers}) {
+        add(counter);
+    }
+    const net::NetworkStats& n = results.net_stats;
+    for (const std::uint64_t counter :
+         {n.sent, n.delivered, n.dropped, n.dropped_chaos,
+          n.blocked_partition, n.dead_destination}) {
+        add(counter);
+    }
+    add(results.store_bytes_written);
+    return hash;
 }
 
 }  // namespace nbos::test

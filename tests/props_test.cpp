@@ -18,15 +18,18 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "core/window_injector.hpp"
 #include "harness.hpp"
 #include "metrics/percentiles.hpp"
 #include "metrics/stats.hpp"
 #include "sched/placement.hpp"
 #include "sched/sharded_scheduler.hpp"
 #include "workload/profiles.hpp"
+#include "workload/session_source.hpp"
 
 namespace nbos {
 namespace {
@@ -515,6 +518,162 @@ TEST(RoutingPolicyProperty, InvariantTotalsIndependentOfPolicy)
                 }
             }
         }
+    });
+}
+
+/**
+ * Window-injector order and retirement. Over random hand-built traces in
+ * random session order (fed through SortedTraceSource), the windows the
+ * injector hands out, concatenated, must equal a stable_sort by
+ * (time, session id, kind) of every injectable trace event listed in
+ * trace order: start, end (only before the makespan), then the cells.
+ * Each event must arrive in the first window t = k·interval with
+ * t ≥ its time, and events past the last window (the first with
+ * t ≥ makespan) never arrive. The traces mix same-tick cells of one
+ * session, cells at their session's end, sessions ending at or past the
+ * makespan, and shared start ticks. After each window opens, the specs
+ * held must be exactly those of admitted sessions whose last event is
+ * not in an earlier window: none is freed before the window holding its
+ * last event has run, and all others are.
+ */
+TEST(WindowInjectorProperty, WindowsMatchStableSortedTraceEvents)
+{
+    test::check_property(40, [](sim::Rng& rng, std::size_t) {
+        const sim::Time interval = (1 + rng.uniform_int(0, 5)) * 10 *
+                                   sim::kSecond;
+        workload::Trace trace;
+        trace.name = "props-injector";
+        trace.makespan = (5 + rng.uniform_int(0, 20)) * sim::kMinute;
+        const auto tick = [&rng](sim::Time lo, sim::Time hi) {
+            // Coarse 5 s ticks so times collide across and within
+            // sessions and land on window boundaries.
+            return lo + rng.uniform_int(0, (hi - lo) / (5 * sim::kSecond)) *
+                            5 * sim::kSecond;
+        };
+        const auto session_count = 1 + rng.uniform_int(0, 11);
+        for (std::int64_t i = 0; i < session_count; ++i) {
+            workload::SessionSpec session;
+            session.id = i * 1000 + rng.uniform_int(0, 999);
+            session.start_time = tick(0, trace.makespan - 5 * sim::kSecond);
+            switch (rng.uniform_int(0, 2)) {
+                case 0:
+                    session.end_time = trace.makespan;
+                    break;
+                case 1:
+                    session.end_time = trace.makespan + tick(0, sim::kHour);
+                    break;
+                default:
+                    session.end_time =
+                        tick(session.start_time, trace.makespan);
+                    break;
+            }
+            const auto cells = rng.uniform_int(0, 5);
+            sim::Time at = session.start_time;
+            for (std::int64_t c = 0; c < cells; ++c) {
+                workload::CellTask task;
+                task.session = session.id;
+                task.seq = static_cast<std::int32_t>(c);
+                switch (rng.uniform_int(0, 3)) {
+                    case 0:  // same tick as the previous cell
+                        break;
+                    case 1:  // exactly at the session's end
+                        at = std::max(at, session.end_time);
+                        break;
+                    default:
+                        at = tick(at, at + 10 * sim::kMinute);
+                        break;
+                }
+                task.submit_time = at;
+                session.tasks.push_back(std::move(task));
+            }
+            trace.sessions.push_back(std::move(session));
+        }
+        for (std::size_t i = trace.sessions.size(); i > 1; --i) {
+            const auto j = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+            std::swap(trace.sessions[i - 1], trace.sessions[j]);
+        }
+
+        // (time, session id, kind, cell index or -1)
+        using Event = std::tuple<sim::Time, workload::SessionId, int, int>;
+        std::vector<Event> reference;
+        for (const workload::SessionSpec& session : trace.sessions) {
+            reference.emplace_back(session.start_time, session.id, 0, -1);
+            if (session.end_time < trace.makespan) {
+                reference.emplace_back(session.end_time, session.id, 1, -1);
+            }
+            for (std::size_t c = 0; c < session.tasks.size(); ++c) {
+                reference.emplace_back(session.tasks[c].submit_time,
+                                       session.id, 2,
+                                       static_cast<int>(c));
+            }
+        }
+        std::stable_sort(reference.begin(), reference.end(),
+                         [](const Event& a, const Event& b) {
+                             return std::tie(std::get<0>(a), std::get<1>(a),
+                                             std::get<2>(a)) <
+                                    std::tie(std::get<0>(b), std::get<1>(b),
+                                             std::get<2>(b));
+                         });
+        const auto window_of = [interval](sim::Time time) {
+            return time <= 0 ? std::int64_t{0} : (time - 1) / interval + 1;
+        };
+        const std::int64_t final_window = window_of(trace.makespan);
+        reference.erase(
+            std::remove_if(reference.begin(), reference.end(),
+                           [&](const Event& e) {
+                               return window_of(std::get<0>(e)) >
+                                      final_window;
+                           }),
+            reference.end());
+
+        // Per session: the window it is pulled in and the window holding
+        // its last event (final_window + 1 when that is never reached).
+        std::vector<std::pair<std::int64_t, std::int64_t>> lifetimes;
+        for (const workload::SessionSpec& session : trace.sessions) {
+            sim::Time last = session.start_time;
+            if (session.end_time < trace.makespan) {
+                last = std::max(last, session.end_time);
+            }
+            for (const workload::CellTask& task : session.tasks) {
+                last = std::max(last, task.submit_time);
+            }
+            lifetimes.emplace_back(
+                window_of(session.start_time),
+                std::min(window_of(last), final_window + 1));
+        }
+
+        workload::SortedTraceSource source(trace);
+        core::WindowInjector injector(source, interval);
+        std::vector<Event> got;
+        for (std::int64_t k = 0; k <= final_window; ++k) {
+            SCOPED_TRACE("window " + std::to_string(k));
+            const std::vector<core::WindowEvent>& events =
+                injector.next_window();
+            const sim::Time t = injector.window_time();
+            ASSERT_EQ(t, k * interval);
+            for (const core::WindowEvent& event : events) {
+                ASSERT_EQ(window_of(event.time), k);
+                // Reading through the pointers is what a driver does
+                // while the window runs; the specs must still be held.
+                const int cell =
+                    event.task == nullptr
+                        ? -1
+                        : static_cast<int>(event.task -
+                                           event.session->tasks.data());
+                if (event.task != nullptr) {
+                    ASSERT_EQ(event.task->submit_time, event.time);
+                }
+                got.emplace_back(event.time, event.session->id,
+                                 static_cast<int>(event.kind), cell);
+            }
+            std::size_t held = 0;
+            for (const auto& [admitted, last] : lifetimes) {
+                held += admitted <= k && last >= k ? 1 : 0;
+            }
+            EXPECT_EQ(injector.live_sessions(), held);
+        }
+        EXPECT_EQ(got, reference);
     });
 }
 
